@@ -11,19 +11,15 @@
 // Tombstoned entries are skipped on pop and compacted wholesale if they
 // ever dominate the pending set.
 //
-// Two interchangeable schedulers order the entries (set_scheduler):
-//  - kHeap: a 4-ary implicit min-heap — sift moves are 24-byte copies, and
-//    four children per node share a cache line's worth of entries. O(log n)
-//    per event with n = live entries, which grows with rank count.
-//  - kLadder (default): a two-tier ladder/calendar queue — a near-future
-//    window of fixed-count, adaptive-width time buckets drained in (time,
-//    seq) order (each bucket sorted once when first touched), with the
-//    4-ary heap demoted to a far-future overflow tier. Amortized O(1) per
-//    event independent of n; bucket width re-derives from the previous
-//    window's occupancy each time the window is re-anchored (DESIGN.md
-//    §16). Pop order is bit-identical to kHeap by construction: (time,
-//    seq) is a total order, so it never matters which tier an entry
-//    waited in.
+// Entries wait in a two-tier ladder/calendar queue (DESIGN.md §16): a
+// near-future window of fixed-count, adaptive-width time buckets drained
+// in (time, seq) order (each bucket sorted once when first touched), with
+// a 4-ary implicit min-heap as the far-future overflow tier. Amortized
+// O(1) per event independent of the pending count; bucket width
+// re-derives from the previous window's occupancy each time the window is
+// re-anchored. While a model-checking tie-break policy is installed the
+// heap holds every entry (see set_tie_break). (time, seq) is a total
+// order, so pop order never depends on which tier an entry waited in.
 #pragma once
 
 #include <cstdint>
@@ -108,8 +104,8 @@ class Engine {
   }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
   [[nodiscard]] std::uint64_t cancelled_events() const { return cancelled_; }
-  /// Cancelled entries still occupying heap space (bounded: compacted away
-  /// once they would dominate the heap).
+  /// Cancelled entries still occupying queue space (bounded: compacted
+  /// away once they would dominate the pending set).
   [[nodiscard]] std::size_t tombstones() const {
     return static_cast<std::size_t>(tombstones_);
   }
@@ -123,45 +119,20 @@ class Engine {
   /// candidates are presented in (time, seq) order, so decision 0 is the
   /// default schedule bit-for-bit. Null (the default) keeps the plain
   /// lowest-(time, seq) pop: one pointer test, no collection pass. The
-  /// policy must outlive its installation. Installing a policy flushes and
-  /// disables the same-instant lane and the ladder window so pop_tied sees
-  /// one candidate set — model-checking schedules are identical with or
-  /// without either structure.
+  /// policy must outlive its installation. Installing a policy flushes the
+  /// ladder window into the heap so pop_tied sees one candidate set —
+  /// model-checking schedules are identical either way.
   void set_tie_break(SchedulePolicy* policy) {
     tie_break_ = policy;
-    if (policy != nullptr) {
-      flush_lane();
-      flush_ladder();
-    }
+    if (policy != nullptr) flush_ladder();
   }
   [[nodiscard]] SchedulePolicy* tie_break() const { return tie_break_; }
 
-  /// Toggle the same-instant fast lane (default on): events scheduled at
-  /// exactly now() append to a FIFO instead of sifting through the heap,
-  /// and pop merges lane front vs heap root by (time, seq) — the executed
-  /// order is bit-identical either way (the A/B equality test pins it).
-  /// Same-instant wakeups dominate dispatch-heavy phases (ack maturation,
-  /// run-queue handoffs), where O(1) append/pop beats two O(log n) sifts.
-  void set_same_instant_lane(bool on) {
-    lane_enabled_ = on;
-    if (!on) flush_lane();
-  }
-  [[nodiscard]] bool same_instant_lane() const { return lane_enabled_; }
-
   /// Order-insensitive digest of the pending-event schedule: the multiset
-  /// of live entry timestamps (seq and heap layout excluded — commuted
+  /// of live entry timestamps (seq and queue layout excluded — commuted
   /// same-instant firings must digest equal). Model-checker memo input;
-  /// O(heap), never on the simulation hot path.
+  /// O(pending), never on the simulation hot path.
   [[nodiscard]] std::uint64_t pending_time_digest() const;
-
-  /// Which structure orders pending entries (see file header). Executed
-  /// event order is bit-identical under either; the scheduler-equality
-  /// suite (tests/scheduler_equality_test.cpp) pins it. Switching to kHeap
-  /// flushes the ladder window into the heap; switching to kLadder lets
-  /// pending heap entries migrate naturally at the next window refill.
-  enum class Scheduler : std::uint8_t { kHeap, kLadder };
-  void set_scheduler(Scheduler s);
-  [[nodiscard]] Scheduler scheduler() const { return scheduler_; }
 
  private:
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
@@ -207,8 +178,6 @@ class Engine {
   void heap_push(Entry e);
   void remove_root();
   void drop_root_tombstones();
-  void drop_lane_tombstones();
-  void flush_lane();
   void compact_tombstones();
   void release_slot(std::uint32_t slot);
 
@@ -216,9 +185,7 @@ class Engine {
   /// pop_tied needs the whole candidate set in one structure, so policy
   /// installation flushes the ladder (decision 0 stays the canonical
   /// schedule either way).
-  [[nodiscard]] bool ladder_routing() const {
-    return scheduler_ == Scheduler::kLadder && tie_break_ == nullptr;
-  }
+  [[nodiscard]] bool ladder_routing() const { return tie_break_ == nullptr; }
   [[nodiscard]] std::size_t bucket_index(SimTime t) const;
   void ladder_insert(Entry e);
   const Entry* ladder_peek();  // min ladder entry; refills window from heap
@@ -244,34 +211,26 @@ class Engine {
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
   std::uint64_t live_ = 0;        // scheduled, not yet fired or cancelled
-  std::uint64_t tombstones_ = 0;  // cancelled entries still in heap_
+  std::uint64_t tombstones_ = 0;  // cancelled entries still queued
   bool stopped_ = false;
   std::vector<Entry> heap_;  // implicit 4-ary min-heap
-  // Same-instant lane: FIFO of entries with time == now_. Seqs are
-  // monotone, so the lane is (time, seq)-sorted by construction; time
-  // cannot advance while it is non-empty because its front beats every
-  // later-time heap root in the pop merge.
-  std::vector<Entry> lane_;
-  std::size_t lane_head_ = 0;
-  bool lane_enabled_ = true;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNilSlot;
   SchedulePolicy* tie_break_ = nullptr;  // null: plain (time, seq) pops
   std::vector<Entry> tie_buf_;           // reused same-instant collection
 
-  // Ladder state (scheduler_ == kLadder). The window covers
-  // [win_lo_, win_hi_ns_) split into kBucketCount buckets of width_ ns;
-  // entries at or past win_hi_ns_ overflow into heap_. win_hi_ns_ ==
-  // INT64_MIN means "no window": everything routes to the heap until the
-  // first pop re-anchors the window at the heap root (so enabling the
-  // ladder mid-run needs no migration pass). Invariant while a window is
-  // live: every heap entry's time >= win_hi_ns_, so the ladder minimum is
-  // the global non-lane minimum.
+  // Ladder state. The window covers [win_lo_, win_hi_ns_) split into
+  // kBucketCount buckets of width_ ns; entries at or past win_hi_ns_
+  // overflow into heap_. win_hi_ns_ == INT64_MIN means "no window":
+  // everything routes to the heap until the first pop re-anchors the
+  // window at the heap root (so clearing a tie-break policy mid-run needs
+  // no migration pass). Invariant while a window is live: every heap
+  // entry's time >= win_hi_ns_, so the ladder minimum is the global
+  // minimum.
   static constexpr std::size_t kBucketCount = 512;
   static constexpr std::int64_t kMinBucketWidthNs = 16;
   static constexpr std::int64_t kMaxBucketWidthNs =
       std::int64_t{1} << 32;  // ~4.3 s
-  Scheduler scheduler_ = Scheduler::kLadder;
   std::vector<Bucket> buckets_;  // kBucketCount once first window forms
   SimTime win_lo_ = SimTime::zero();
   std::int64_t win_hi_ns_ = std::numeric_limits<std::int64_t>::min();

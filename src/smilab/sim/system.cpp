@@ -138,8 +138,6 @@ struct System::TaskImpl {
   bool waiting_ack = false;
   bool ack_arrived = false;
   bool waiting_all = false;  // parked in WaitAll
-  /// Spawn-time rank-indexing decision, applied when nbs_ materializes.
-  bool nb_rank_indexed = false;
   bool maturing_acks = false;  ///< re-entrancy guard: a wake may step us
   WaitPolicy wait_policy = WaitPolicy::kSpin;
   int phase = 0;
@@ -180,10 +178,7 @@ struct System::TaskImpl {
   std::unique_ptr<NbState> nbs_;
 
   NbState& nbs() {
-    if (!nbs_) {
-      nbs_ = std::make_unique<NbState>();
-      if (nb_rank_indexed) nbs_->table.set_rank_indexed(true);
-    }
+    if (!nbs_) nbs_ = std::make_unique<NbState>();
     return *nbs_;
   }
 
@@ -287,16 +282,7 @@ System::System(SystemConfig cfg)
   if (cfg_.smi.enabled()) {
     smi_ = std::make_unique<SmiController>(*this, cfg_.smi);
   }
-  // The ack router is system-wide (keys are monotonic, access is probe-
-  // only), so unlike the per-task stores it follows the rank-indexing
-  // toggle directly rather than the group-size threshold.
-  set_transport_rank_indexing(rank_indexing_);
-}
-
-void System::set_transport_rank_indexing(bool on) {
-  rank_indexing_ = on;
-  ack_router_.set_rank_indexed(
-      on, on ? static_cast<std::size_t>(cfg_.node_count) * 4 : 0);
+  ack_router_.reserve(static_cast<std::size_t>(cfg_.node_count) * 4);
 }
 
 System::~System() = default;
@@ -361,15 +347,6 @@ TaskId System::spawn_member(GroupId g, int rank, TaskSpec spec) {
   program_actions_ += t->materialized;
   if (program_actions_ > peak_program_actions_) {
     peak_program_actions_ = program_actions_;
-  }
-
-  // Large groups get the rank-indexed stores before any traffic exists;
-  // small groups keep the classic maps (bit-exact either way — the
-  // scheduler-equality suite pins both layouts to the same hashes).
-  if (rank_indexing_ &&
-      static_cast<int>(members.size()) >= rank_index_threshold_) {
-    t->unexpected.set_rank_indexed(true);
-    t->nb_rank_indexed = true;
   }
 
   TaskImpl& ref = *t;

@@ -252,33 +252,15 @@ class System {
   /// Enable/disable the transport fast paths: pipelined NIC egress/ingress
   /// booking (one merged event per stage instead of per-message service
   /// chains) and lazily matured rendezvous acks (delivery piggybacks on the
-  /// sender's next poll instead of a dedicated event). Both are bit-exact —
-  /// the fast-path golden tests compare hashes with the knob on and off
-  /// under SMM overlap and fault plans — and both self-disable whenever a
-  /// pause or fault model makes the short-circuit observable. On by
-  /// default; the off position exists for debugging and the equality tests.
+  /// sender's next poll instead of a dedicated event). Both self-disable
+  /// whenever a pause or fault model makes the short-circuit observable.
+  /// NIC booking is bit-exact. Lazy acks are NOT bit-exact on every
+  /// program: an 8-rank FT (2 nodes x 4 ranks) ends slightly earlier with
+  /// them than without (DESIGN.md §11), though the equality tests' ring,
+  /// same-node and fault-plan scenarios hash equal. On by default; the
+  /// off position exists for debugging and the equality tests.
   void set_transport_fast_paths(bool on) { fast_paths_ = on; }
   [[nodiscard]] bool transport_fast_paths() const { return fast_paths_; }
-
-  /// Enable/disable the rank-indexed transport stores: flat open-addressed
-  /// (src,tag)/tag buckets, posted-receive index, and ack-router slots
-  /// instead of unordered_map nodes. Bit-exact — matching stays key-probed
-  /// and every iteration sorts before it can have a simulation-visible
-  /// effect — so the toggle only moves constants: node alloc/free churn
-  /// drops out of the per-message path. Applied to groups of at least
-  /// `transport_rank_index_threshold()` members at spawn time (small
-  /// groups keep the classic maps, whose nodes fit in cache anyway). On by
-  /// default; the off position exists for the scheduler-equality tests.
-  void set_transport_rank_indexing(bool on);
-  [[nodiscard]] bool transport_rank_indexing() const { return rank_indexing_; }
-
-  /// Group size at or above which spawn_group switches a member's
-  /// transport stores to the rank-indexed layout. Tests set 0 to force
-  /// flat mode onto the small golden programs.
-  void set_transport_rank_index_threshold(int n) { rank_index_threshold_ = n; }
-  [[nodiscard]] int transport_rank_index_threshold() const {
-    return rank_index_threshold_;
-  }
 
   /// Injected-fault intervals, in injection order (for traces and reports).
   [[nodiscard]] const std::vector<FaultRecord>& fault_log() const {
@@ -484,8 +466,6 @@ class System {
 
   // Fault and watchdog state.
   bool fast_paths_ = true;
-  bool rank_indexing_ = true;
-  int rank_index_threshold_ = 64;
   LinkFaultModel* link_fault_ = nullptr;
   SchedulePolicy* sched_policy_ = nullptr;  ///< null: canonical schedule
   std::vector<double> fault_rate_;  ///< per-node fault rate degradation

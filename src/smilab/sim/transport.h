@@ -14,7 +14,7 @@
 //    message was abandoned) resolve to nullptr instead of poking a
 //    recycled slot.
 //  * UnexpectedQueue — per-receiver bucketed unexpected-message queues:
-//    a (src, tag) bucket map for specific matches plus a per-tag index for
+//    (src, tag) buckets for specific matches plus a per-tag index for
 //    MPI_ANY_SOURCE, both as intrusive doubly-linked lists threaded through
 //    the pool slots. Matching pops a list head instead of scanning a
 //    mailbox vector, and a consumed record is unlinked from BOTH lists
@@ -24,7 +24,7 @@
 //    per-tag list, which is arrival-ordered, preserving MPI's global
 //    arrival-order semantics for wildcards — check_invariants verifies the
 //    sequence is strictly increasing along every list.
-//  * AckRouter — a global ack-key -> (task, handle) hash route. A
+//  * AckRouter — a global ack-key -> (task, handle) flat hash route. A
 //    rendezvous completion previously scanned every task and searched two
 //    maps per task; now it is one hash lookup. The route also remembers the
 //    message's (dst_rank, tag) so a stuck sender can be diagnosed after the
@@ -36,6 +36,11 @@
 // reuse across open/close cycles beats a node-based map. Iteration is in
 // ascending handle id — the same order std::map gave — so posted-receive
 // matching picks the same handle bit-for-bit.
+//
+// Every keyed index here is a FlatKeyMap (sim/flat_key_map.h, DESIGN.md
+// §16): open-addressed slots, so the per-message insert+erase churn never
+// touches the allocator. All of them are probed by key only; whatever is
+// iterated is sorted before it can have a simulation-visible effect.
 #pragma once
 
 #include <algorithm>
@@ -43,7 +48,6 @@
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
-#include <unordered_map>
 #include <vector>
 
 #include "smilab/sim/flat_key_map.h"
@@ -177,21 +181,6 @@ class MessagePool {
 /// per-tag arrival-ordered index for any-source matching. See file header.
 class UnexpectedQueue {
  public:
-  /// Rank-indexed mode (DESIGN.md §16): back the (src, tag) and per-tag
-  /// bucket maps with FlatKeyMap instead of unordered_map, eliminating the
-  /// node alloc/free pair every enqueue+match cycle pays. Observable
-  /// behavior is bit-identical — both modes are probed by key only, and
-  /// the intrusive lists threaded through the pool slots are shared — so
-  /// the toggle exists for A/B equality suites and benchmarks (the PR-5
-  /// set_transport_fast_paths pattern). System enables it at spawn time
-  /// for tasks in groups at or above its rank-index threshold. Must be
-  /// called while the queue is empty.
-  void set_rank_indexed(bool on) {
-    assert(count_ == 0 && "switch indexing mode only while empty");
-    rank_indexed_ = on;
-  }
-  [[nodiscard]] bool rank_indexed() const { return rank_indexed_; }
-
   /// Enqueue an arrived, unmatched message; assigns its arrival_seq and
   /// moves it to kUnexpected.
   void push(MessagePool& pool, MsgHandle h);
@@ -249,88 +238,30 @@ class UnexpectedQueue {
     std::uint32_t tail = MessageRec::kNil;
   };
 
-  static std::uint64_t src_tag_key(int src_rank, int tag) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_rank))
+  // Both bucket families share one FlatKeyMap. (src, tag) keys put
+  // src + 1 in the high word, tag-only keys leave it zero (src >= 0), so
+  // the families never collide. One map halves the per-task header and
+  // first-allocation cost; at 64k ranks a pair of maps was ~10 MB of
+  // four-slot opening bids.
+  static std::uint64_t st_key(int src_rank, int tag) {
+    return ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_rank)) +
+             1)
             << 32) |
            static_cast<std::uint32_t>(tag);
   }
   static std::uint64_t tag_key(int tag) {
     return static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag));
   }
-  /// Flat-mode (src, tag) key: src + 1 in the high word so the two key
-  /// families share one FlatKeyMap without colliding — tag-only keys have
-  /// a zero high word, (src, tag) keys never do (src >= 0). One map halves
-  /// the per-task header and first-allocation cost; at 64k ranks the pair
-  /// was ~10 MB of four-slot opening bids.
-  static std::uint64_t flat_st_key(int src_rank, int tag) {
-    return ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_rank)) +
-             1)
-            << 32) |
-           static_cast<std::uint32_t>(tag);
-  }
-
-  /// The classic unordered_map pair, allocated on first classic-mode use.
-  /// Behind a pointer so rank-indexed tasks — tens of thousands of them —
-  /// do not each carry 112 bytes of never-touched map headers.
-  struct ClassicMaps {
-    std::unordered_map<std::uint64_t, Bucket> by_src_tag;
-    std::unordered_map<int, Bucket> by_tag;
-  };
-  [[nodiscard]] ClassicMaps& classic() {
-    if (!classic_) classic_ = std::make_unique<ClassicMaps>();
-    return *classic_;
-  }
-
-  // Mode-dispatching bucket accessors: all hot-path callers probe by
-  // (src, tag) or tag through these, so push/match/unlink are a single
-  // code path over both backing stores.
-  [[nodiscard]] Bucket* find_st_bucket(int src_rank, int tag) {
-    if (rank_indexed_) return flat_.find(flat_st_key(src_rank, tag));
-    return classic_
-               ? classic_find(classic_->by_src_tag, src_tag_key(src_rank, tag))
-               : nullptr;
-  }
-  [[nodiscard]] Bucket& get_st_bucket(int src_rank, int tag) {
-    return rank_indexed_ ? flat_.get_or_insert(flat_st_key(src_rank, tag))
-                         : classic().by_src_tag[src_tag_key(src_rank, tag)];
-  }
-  void erase_st_bucket(int src_rank, int tag) {
-    if (rank_indexed_) {
-      flat_.erase(flat_st_key(src_rank, tag));
-    } else {
-      classic_->by_src_tag.erase(src_tag_key(src_rank, tag));
-    }
-  }
-  [[nodiscard]] Bucket* find_tag_bucket(int tag) {
-    if (rank_indexed_) return flat_.find(tag_key(tag));
-    return classic_ ? classic_find(classic_->by_tag, tag) : nullptr;
-  }
   [[nodiscard]] const Bucket* find_tag_bucket(int tag) const {
-    return const_cast<UnexpectedQueue*>(this)->find_tag_bucket(tag);
-  }
-  [[nodiscard]] Bucket& get_tag_bucket(int tag) {
-    return rank_indexed_ ? flat_.get_or_insert(tag_key(tag))
-                         : classic().by_tag[tag];
-  }
-  void erase_tag_bucket(int tag) {
-    if (rank_indexed_) {
-      flat_.erase(tag_key(tag));
-    } else {
-      classic_->by_tag.erase(tag);
-    }
-  }
-  template <typename Map, typename K>
-  static Bucket* classic_find(Map& m, K key) {
-    auto it = m.find(key);
-    return it == m.end() ? nullptr : &it->second;
+    return buckets_.find(tag_key(tag));
   }
 
-  /// Distinct queued tags, sorted (diagnostics/clear; hash order of either
-  /// backing store cannot escape).
+  /// Distinct queued tags, sorted (diagnostics/clear; probe order cannot
+  /// escape).
   [[nodiscard]] std::vector<int> tag_keys() const;
 
   /// Unlink `h` from both its (src, tag) bucket and its tag index;
-  /// erases buckets that become empty so the maps stay bounded by
+  /// erases buckets that become empty so the map stays bounded by
   /// *concurrently* queued traffic, not by distinct tags ever seen.
   void unlink(MessagePool& pool, MsgHandle h);
 
@@ -348,11 +279,8 @@ class UnexpectedQueue {
     return *scratch_;
   }
 
-  bool rank_indexed_ = false;
-  std::unique_ptr<ClassicMaps> classic_;
-  /// Flat-mode store for BOTH bucket families, keyed by flat_st_key /
-  /// tag_key (disjoint by construction — see flat_st_key).
-  FlatKeyMap<Bucket> flat_;
+  /// Both bucket families, keyed by st_key / tag_key.
+  FlatKeyMap<Bucket> buckets_;
   std::uint64_t next_seq_ = 0;
   std::size_t count_ = 0;
   std::unique_ptr<MatchScratch> scratch_;
@@ -371,59 +299,34 @@ struct AckTarget {
 };
 
 /// Global ack-key -> target hash route: one lookup per completion instead
-/// of a scan over every task. Keys are globally unique per System.
+/// of a scan over every task. Keys are globally unique per System; flat
+/// open-addressed slots save an alloc/free pair per rendezvous.
 ///
 /// Determinism (smilint D3): the router is match-by-key ONLY — add, find,
 /// erase, size. It deliberately exposes no iteration or visitation API, so
-/// the map's hash order cannot reach simulation state, output, or
+/// the map's probe order cannot reach simulation state, output, or
 /// validate() ordering. If a future change needs to walk outstanding
 /// routes (e.g. for diagnostics), it must drain via sorted keys; the
 /// AckRouterPermutation test pins this by inserting in permuted orders and
 /// hashing the observable drain sequence.
 class AckRouter {
  public:
-  /// Rank-indexed mode: flat open-addressed slots instead of unordered_map
-  /// nodes (one alloc/free pair saved per rendezvous). Both stores are
-  /// key-probed only, so routing is bit-identical; the hint pre-sizes the
-  /// slot array for the expected concurrent route count (O(ranks) during a
-  /// collective phase). Switch only while empty.
-  void set_rank_indexed(bool on, std::size_t capacity_hint = 0) {
-    assert(size() == 0 && "switch indexing mode only while empty");
-    rank_indexed_ = on;
-    if (on && capacity_hint != 0) flat_.reserve(capacity_hint);
-  }
-  [[nodiscard]] bool rank_indexed() const { return rank_indexed_; }
+  /// Pre-size for about `n` concurrent routes (O(ranks) during a
+  /// collective phase).
+  void reserve(std::size_t n) { routes_.reserve(n); }
 
   void add(std::uint64_t key, AckTarget target) {
-    if (rank_indexed_) {
-      flat_.get_or_insert(key) = target;
-    } else {
-      map_.emplace(key, target);
-    }
+    routes_.get_or_insert(key) = target;
   }
-  [[nodiscard]] AckTarget* find(std::uint64_t key) {
-    if (rank_indexed_) return flat_.find(key);
-    auto it = map_.find(key);
-    return it == map_.end() ? nullptr : &it->second;
-  }
+  [[nodiscard]] AckTarget* find(std::uint64_t key) { return routes_.find(key); }
   [[nodiscard]] const AckTarget* find(std::uint64_t key) const {
-    return const_cast<AckRouter*>(this)->find(key);
+    return routes_.find(key);
   }
-  void erase(std::uint64_t key) {
-    if (rank_indexed_) {
-      flat_.erase(key);
-    } else {
-      map_.erase(key);
-    }
-  }
-  [[nodiscard]] std::size_t size() const {
-    return rank_indexed_ ? flat_.size() : map_.size();
-  }
+  void erase(std::uint64_t key) { routes_.erase(key); }
+  [[nodiscard]] std::size_t size() const { return routes_.size(); }
 
  private:
-  bool rank_indexed_ = false;
-  std::unordered_map<std::uint64_t, AckTarget> map_;
-  FlatKeyMap<AckTarget> flat_;
+  FlatKeyMap<AckTarget> routes_;
 };
 
 /// Per-task nonblocking-communication handle table: a flat slot vector
@@ -437,7 +340,7 @@ class AckRouter {
 /// rendezvous ack storm) quadratic. The bucket keeps ids ascending, so the
 /// match picks the same lowest-id handle the full scan picked, bit-for-bit.
 /// Determinism (smilint D3): the tag map is probed by key only and dropped
-/// wholesale on clear(); its hash order never reaches simulation state.
+/// wholesale on clear(); its probe order never reaches simulation state.
 class NbHandleTable {
  public:
   struct Entry {
@@ -453,18 +356,6 @@ class NbHandleTable {
     int tag = 0;
     int peer = -1;               ///< counterpart rank (diagnosis wait-for edge)
   };
-
-  /// Rank-indexed mode: the posted-by-tag index keeps its arena-backed id
-  /// vectors but reaches them through a FlatKeyMap of store indices
-  /// instead of unordered_map nodes, so post/unpost churn at waitall-
-  /// window rate stops paying a node alloc/free per cycle. Match order is
-  /// unchanged (ids stay ascending within a bucket). Switch only while no
-  /// handle is open.
-  void set_rank_indexed(bool on) {
-    assert(open_ == 0 && "switch indexing mode only while empty");
-    rank_indexed_ = on;
-  }
-  [[nodiscard]] bool rank_indexed() const { return rank_indexed_; }
 
   /// Open slot `id` for a send or receive; asserts the id is not already
   /// in use.
@@ -520,9 +411,9 @@ class NbHandleTable {
   }
 
  private:
-  /// The posted-id vector for `tag`, or nullptr (either mode).
+  /// The posted-id vector for `tag`, or nullptr.
   [[nodiscard]] const std::pmr::vector<int>* find_posted(int tag) const;
-  /// The posted-id vector for `tag`, creating an empty one (either mode).
+  /// The posted-id vector for `tag`, creating an empty one.
   [[nodiscard]] std::pmr::vector<int>& get_posted(int tag);
   /// Drop `tag`'s bucket (it must be empty), recycling the store slot.
   void erase_posted(int tag);
@@ -530,25 +421,16 @@ class NbHandleTable {
   std::vector<Entry> entries_;
   std::size_t open_ = 0;
   std::size_t open_recvs_ = 0;
-  bool rank_indexed_ = false;
-  /// tag -> ascending ids of open receives still awaiting a message.
-  /// Probed by key only; cleared wholesale (smilint D3). Behind a pointer,
-  /// allocated on first classic-mode post, so rank-indexed tasks don't
-  /// carry the map header.
+  /// tag -> ascending ids of open receives still awaiting a message, as
+  /// (store index + 1) in a FlatKeyMap (0 = empty sentinel from value-
+  /// initialization). Probed by key only; cleared wholesale (smilint D3).
+  /// The id vectors themselves are recycled through posted_store_ /
+  /// store_free_, so FlatKeyMap only ever relocates 32-bit indices.
   ///
-  /// The bucket vectors live on the thread's ActionArena (trace/): posting
-  /// and unposting churn small id vectors at waitall-window rate, and the
-  /// bump resource turns that into pointer arithmetic. Only the vectors are
-  /// arena-backed — the outer map stays on the heap, since the arena's
-  /// deallocate is a no-op and TagAllocator tags are monotonic: arena-side
-  /// map nodes for dead tags would accumulate until reset.
-  std::unique_ptr<std::unordered_map<int, std::pmr::vector<int>>>
-      posted_by_tag_;
-  /// Rank-indexed replacement for the outer map: tag -> (store index + 1)
-  /// in a FlatKeyMap (0 = empty sentinel from value-initialization), with
-  /// the arena-backed vectors themselves recycled through posted_store_ /
-  /// store_free_ so FlatKeyMap only ever relocates 32-bit indices.
-  FlatKeyMap<std::uint32_t> posted_flat_;
+  /// The id vectors live on the thread's ActionArena (trace/): posting and
+  /// unposting churn small id vectors at waitall-window rate, and the bump
+  /// resource turns that into pointer arithmetic.
+  FlatKeyMap<std::uint32_t> posted_index_;
   std::vector<std::pmr::vector<int>> posted_store_;
   std::vector<std::uint32_t> store_free_;
   std::pmr::memory_resource* arena_ = ActionArena::current();

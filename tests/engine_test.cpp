@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "smilab/core/fnv.h"
 #include "smilab/sim/event_queue.h"
 
 namespace smilab {
@@ -314,6 +315,44 @@ TEST(EngineTest, ManyEventsStressOrdering) {
   eng.run();
   EXPECT_TRUE(monotonic);
   EXPECT_EQ(eng.executed_events(), 10'000u);
+}
+
+// A same-instant storm scheduled from inside a callback, with a nested
+// same-instant wake and a cancellation, fires in exact (time, seq) order.
+TEST(EngineTest, SameInstantStormPreservesTimeSeqOrderAndCancellation) {
+  Engine eng;
+  std::vector<int> order;
+  eng.schedule_at(SimTime{100}, [&] {
+    eng.schedule_at(SimTime{100}, [&] { order.push_back(1); });
+    const EventId victim =
+        eng.schedule_at(SimTime{100}, [&] { order.push_back(2); });
+    eng.schedule_at(SimTime{100}, [&] {
+      order.push_back(3);
+      // Nested same-instant wake, scheduled while draining the storm.
+      eng.schedule_at(SimTime{100}, [&] { order.push_back(5); });
+    });
+    eng.schedule_at(SimTime{200}, [&] { order.push_back(6); });
+    eng.schedule_at(SimTime{100}, [&] { order.push_back(4); });
+    eng.cancel(victim);
+  });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4, 5, 6}));
+}
+
+// The pending digest counts every live entry, including ones scheduled at
+// now() from inside the running callback, and skips tombstones.
+TEST(EngineTest, PendingDigestSeesSameInstantEntries) {
+  Engine eng;
+  std::uint64_t digest = 0;
+  eng.schedule_at(SimTime{50}, [&] {
+    eng.schedule_at(SimTime{50}, [] {});
+    eng.schedule_at(SimTime{80}, [] {});
+    eng.cancel(eng.schedule_at(SimTime{60}, [] {}));
+    digest = eng.pending_time_digest();
+    eng.stop();
+  });
+  eng.run();
+  EXPECT_EQ(digest, splitmix64(50) + splitmix64(80));
 }
 
 }  // namespace

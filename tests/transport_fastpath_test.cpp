@@ -1,12 +1,17 @@
-// Fast-path bit-equality suite: the transport's opportunistic machinery —
-// NIC pipeline booking, lazy rendezvous-ack maturation, and the piggyback
-// ack delivery route — must be a pure performance change. Every test here
-// runs the same scenario twice, once with System::set_transport_fast_paths
-// on (the default) and once off (the classic event-per-step chain), and
-// asserts the full observable trace hashes are EQUAL. There are no pinned
-// constants: the classic path is itself covered by the pinned goldens in
-// transport_test.cpp, so equality against it extends those pins to the
-// fast paths.
+// Fast-path equality suite: the transport's opportunistic machinery — NIC
+// pipeline booking, lazy rendezvous-ack maturation, and the piggyback ack
+// delivery route. Every test here runs the same scenario twice, once with
+// System::set_transport_fast_paths on (the default) and once off (the
+// classic event-per-step chain), and asserts the full observable trace
+// hashes are EQUAL. There are no pinned constants: the classic path is
+// itself covered by the pinned goldens in transport_test.cpp, so equality
+// against it extends those pins to the fast paths on these scenarios.
+//
+// Equality here does NOT make the fast paths bit-exact in general. NIC
+// booking is; lazy ack maturation is not: FT with 4 ranks per node ends
+// slightly earlier with it (DESIGN.md §11), and
+// StreamingEqualityTest.SmallFtDefaultPathGoldenPinned pins that default
+// path rather than asserting equality.
 //
 // The scenarios target exactly the conditions under which the fast paths
 // must hand back to the classic machinery:
