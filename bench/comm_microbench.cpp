@@ -14,16 +14,16 @@
 //                       ack-key routing, posted-receive index, waitall
 //                       progress counters, and lazy ack maturation.
 //  * egress burst     — one sender blasts back-to-back eager bursts at a
-//                       single NIC egress server; exercises the pipeline
-//                       booking fast path (batched interval booking, one
-//                       armed event per server direction).
+//                       single NIC egress server; exercises the booked
+//                       NIC FIFO (batched interval booking, one armed
+//                       event per server direction).
 //
-// The storm and burst shapes are also measured with the transport fast
-// paths disabled (System::set_transport_fast_paths(false)), so the JSON
-// artifact records the pipelined-vs-classic delta on the same machine.
-// The two paths simulate the same traffic but are not bit-identical on
-// every program: lazy ack maturation can shift completion instants
-// (DESIGN.md §11).
+// The storm shape is also measured with lazy ack maturation disabled
+// (System::set_transport_fast_paths(false)), so the JSON artifact records
+// the lazy-vs-eager ack delta on the same machine. The two simulate the
+// same traffic but are not bit-identical on every program: lazy ack
+// maturation can shift completion instants (DESIGN.md §11). The burst
+// shape is eager, so the toggle would not change the code it runs.
 //
 // A small grid re-profile rides along: a sweep of independent storm cells
 // timed at --jobs=1 and at hardware concurrency, recording cells/s for both
@@ -33,7 +33,7 @@
 // the pool's bounded-memory evidence, and the CI floor values the perf-smoke
 // job gates on.
 //
-// Usage: comm_microbench [--quick] [--classic]
+// Usage: comm_microbench [--quick] [--classic]  (--classic: lazy acks off)
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -157,7 +157,7 @@ Rate measure_ack_storm(int ranks, int burst, int rounds, bool fast_paths) {
 
 /// Back-to-back eager bursts at one egress server: each round the sender
 /// blasts `burst` eager isends into its NIC (booked as one batch by the
-/// pipeline), then waits for the receiver's short done message before the
+/// FIFO), then waits for the receiver's short done message before the
 /// next round — so the in-flight window stays one burst deep and the
 /// measurement tracks per-burst booking cost rather than backlog memory.
 Rate measure_egress_burst(int burst, int rounds, bool fast_paths) {
@@ -269,14 +269,11 @@ int main(int argc, char** argv) {
               burst.msgs_per_s,
               static_cast<long long>(burst.stats.peak_in_flight));
 
-  // Classic-transport reference points for the two fast-path shapes (same
-  // machine, same process), so the artifact carries the delta.
+  // Eager-ack reference point for the storm (same machine, same process),
+  // so the artifact carries the lazy-ack delta.
   const Rate storm_classic =
       best_of(reps, [&] { return measure_ack_storm(8, 48, 2 * scale, false); });
-  const Rate burst_classic = best_of(
-      reps, [&] { return measure_egress_burst(64, 300 * scale, false); });
-  std::printf("  (classic transport: storm %.0f, burst %.0f msgs/s)\n",
-              storm_classic.msgs_per_s, burst_classic.msgs_per_s);
+  std::printf("  (eager acks: storm %.0f msgs/s)\n", storm_classic.msgs_per_s);
 
   // Grid-level parallel speedup: independent cells across sweep workers.
   const int grid_cells = quick ? 8 : 24;
@@ -297,7 +294,6 @@ int main(int argc, char** argv) {
   json.set("ack_storm_msgs_per_s", storm.msgs_per_s);
   json.set("egress_burst_msgs_per_s", burst.msgs_per_s);
   json.set("ack_storm_classic_msgs_per_s", storm_classic.msgs_per_s);
-  json.set("egress_burst_classic_msgs_per_s", burst_classic.msgs_per_s);
   json.set("grid_cells_per_s_jobs1", grid_j1);
   json.set("grid_cells_per_s_jobsN", grid_jn);
   json.set("grid_jobs_n", grid_jobs);

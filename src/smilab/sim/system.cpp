@@ -19,32 +19,6 @@ constexpr std::int64_t kAckBytes = 64;
 
 // MessageRec and the pooled transport structures live in sim/transport.h.
 
-/// One direction of a node's NIC, as a pausable FIFO server. Pauses are
-/// refcounted so overlapping causes (SMM freeze, fault freeze, link-down,
-/// crash) compose; the server resumes when the last cause clears.
-///
-/// Two representations carry the same FIFO:
-///  * Pipeline (fast path): while the server is unpaused and the classic
-///    state is empty, each submit books its service interval immediately
-///    ([start, end] with start = max(now, busy_until)) — a burst of N
-///    submits is N deque pushes and one running `busy_until` cursor, with
-///    no per-message done-event bookkeeping. Only the FRONT booking holds
-///    an armed event — egress: the handoff at `end`; ingress: the merged
-///    service-end + propagation arrival at `end + latency` — and arms its
-///    successor when it fires, so a deep backlog keeps the engine heap at
-///    one event per server direction instead of one per in-flight message
-///    (booking every event up front measurably loses to the classic chain
-///    once backlogs reach tens of thousands: every heap operation pays
-///    log N on the ballooned heap). Per-message timestamps are identical
-///    to serving the run one event at a time.
-///  * Classic (active/remaining/queue): anything a pause can touch. On
-///    pause, outstanding bookings convert back to classic form
-///    (nic_pipe_to_classic) and the original pause/resume/recovery/crash
-///    logic applies unchanged; the classic backlog then drains through
-///    per-message done events, and the next submit that finds the server
-///    idle re-enters the pipeline.
-/// The two are mutually exclusive: bookings require the classic state
-/// empty, and conversion empties the pipeline.
 // Allocation-lazy FIFO for per-CPU and per-NIC queues. std::deque here
 // cost ~600 bytes of chunk map per instance at construction — times 16
 // runqueues and 4 NIC queues per node that dominated System construction
@@ -89,29 +63,43 @@ class ShortFifo {
   std::size_t head_ = 0;
 };
 
+/// One direction of a node's NIC, as a pausable FIFO server. Pauses are
+/// refcounted so overlapping causes (SMM freeze, fault freeze, link-down,
+/// crash) compose; the server resumes when the last cause clears.
+///
+/// The FIFO is booked: while the server runs, each submit fixes its service
+/// interval at once ([start, end] with start = max(now, busy_until)), so a
+/// burst of N submits is N pushes and one running `busy_until` cursor. Only
+/// the FRONT booking holds an armed event — egress: the handoff at `end`;
+/// ingress: the merged service-end + propagation arrival at
+/// `end + latency` — and arms its successor when it fires, so a deep
+/// backlog keeps the engine heap at one event per server direction instead
+/// of one per in-flight message (booking every event up front measurably
+/// loses once backlogs reach tens of thousands: every heap operation pays
+/// log N on the ballooned heap).
+///
+/// A pause splits the FIFO at `now`. Ingress bookings whose service already
+/// ended are in propagation flight, which no pause stops: each leaves the
+/// FIFO with its own arrival event. The front's event is cancelled and its
+/// unserved time kept in `remaining`. Submits while paused append unbooked.
+/// The resume re-books the whole FIFO contiguously from `now`, the front
+/// first with `remaining` plus the TCP recovery draw.
 struct System::NicServer {
-  struct PipeEntry {
+  struct Booking {
     MsgHandle h;
-    SimTime start;  // service begins (for the contiguity invariant)
+    SimTime start;  // service begins (meaningful while unpaused)
     SimTime end;    // service ends: egress handoff / ingress + latency
-    EventId ev{};   // armed only while this entry is the front
+    EventId ev{};   // armed only while this booking is the front
   };
 
-  ShortFifo<PipeEntry> pipe;         // booked services (fast path), FIFO
-  SimTime busy_until;                // end of the last booked service
-  ShortFifo<MsgHandle> queue;        // messages awaiting service (classic)
-  MsgHandle active;                  // null = idle
-  SimDuration remaining{};
-  SimTime since;
-  SimTime paused_at;                 // start of the outermost pause
+  ShortFifo<Booking> fifo;
+  SimTime busy_until;              // end of the last booked service
+  SimTime paused_at;               // start of the outermost pause
+  SimDuration remaining{};         // paused: the front's unserved time
   int pause_depth = 0;
-  std::uint64_t epoch = 0;
-  EventId done_ev{};
+  bool front_in_service = false;   // paused: the front was mid-service
 
   [[nodiscard]] bool paused() const { return pause_depth > 0; }
-  [[nodiscard]] bool classic_busy() const {
-    return active.valid() || !queue.empty();
-  }
 };
 
 // Field order is deliberate (64k-rank residency: every byte here is
@@ -1098,135 +1086,59 @@ System::NicServer& System::nic(int node, bool egress) {
   return egress ? ns.egress : ns.ingress;
 }
 
+// Book the message's service interval now, or append it unbooked while the
+// server is paused (the resume books it). The armed event stays with the
+// front booking only (see the NicServer comment).
 void System::nic_submit(int node, bool egress, MsgHandle h) {
   NicServer& server = nic(node, egress);
-  if (fast_paths_ && !server.paused() && !server.classic_busy()) {
-    nic_book(node, egress, server, h);
+  if (server.paused()) {
+    server.fifo.push_back(NicServer::Booking{h, {}, {}, EventId{}});
     return;
   }
-  server.queue.push_back(h);
-  nic_try_serve(node, egress);
-}
-
-// Pipeline booking: fix the message's service interval now; the armed
-// event stays with the front entry only (see the NicServer comment).
-void System::nic_book(int node, bool egress, NicServer& server, MsgHandle h) {
   const SimTime start = std::max(now(), server.busy_until);
   const SimTime end = start + pool_.ref(h).xmit;
   server.busy_until = end;
-  server.pipe.push_back(NicServer::PipeEntry{h, start, end, EventId{}});
-  if (server.pipe.size() == 1) nic_pipe_arm(node, egress, server);
+  server.fifo.push_back(NicServer::Booking{h, start, end, EventId{}});
+  if (server.fifo.size() == 1) nic_arm(node, egress, server);
 }
 
 // Arm the front booking's merged event. Called when a booking lands in an
-// empty pipe and when a fired front hands the chain to its successor; the
-// target instants were fixed at booking time, so arming order never moves
-// a timestamp.
-void System::nic_pipe_arm(int node, bool egress, NicServer& server) {
-  assert(!server.pipe.empty());
-  NicServer::PipeEntry& e = server.pipe.front();
+// empty FIFO, when a fired front hands the chain to its successor, and on
+// resume; the target instants were fixed at booking time, so arming order
+// never moves a timestamp.
+void System::nic_arm(int node, bool egress, NicServer& server) {
+  assert(!server.fifo.empty());
+  NicServer::Booking& e = server.fifo.front();
   assert(!e.ev.valid());
   if (egress) {
-    e.ev = engine_.schedule_at(e.end,
-                               [this, node, h = e.h] { nic_pipe_handoff(node, h); });
+    e.ev = engine_.schedule_at(e.end, [this, node, h = e.h] { nic_handoff(node, h); });
   } else {
     e.ev = engine_.schedule_at(e.end + net_.latency(),
-                               [this, node, h = e.h] { nic_pipe_arrival(node, h); });
+                               [this, node, h = e.h] { nic_arrival(node, h); });
   }
 }
 
-// A booked egress service ended: same instant the classic done event fired.
-// Mirrors the classic handler's order — handoff (which may book at the
+// A booked egress service ended: hand off (which may book at the
 // destination ingress) before arming this server's next service.
-void System::nic_pipe_handoff(int node, MsgHandle h) {
+void System::nic_handoff(int node, MsgHandle h) {
   NicServer& server = nic(node, /*egress=*/true);
-  assert(!server.pipe.empty() && server.pipe.front().h == h);
-  server.pipe.pop_front();
+  assert(!server.fifo.empty() && server.fifo.front().h == h);
+  server.fifo.pop_front();
   handoff_to_ingress(h);
-  if (!server.pipe.empty()) nic_pipe_arm(node, /*egress=*/true, server);
-  // No try_serve: the classic queue is empty by the booking precondition (a
-  // pause would have converted the pipeline away before admitting classic
-  // traffic).
+  if (!server.fifo.empty()) nic_arm(node, /*egress=*/true, server);
 }
 
-// A booked ingress service ended and the propagation delay elapsed: the
-// merged event lands exactly where the classic done -> latency -> arrival
-// chain landed. The entry may already be gone (a pause converted the pipe
-// while this message was in propagation flight); the successor hand-over
-// happens before the arrival side effects, like the classic chain's next
-// done event which was already armed by now.
-void System::nic_pipe_arrival(int node, MsgHandle h) {
+// A booked ingress service ended and the propagation delay elapsed. The
+// booking may already be gone (a pause released it while the message was
+// in propagation flight); otherwise the successor is armed before the
+// arrival side effects run.
+void System::nic_arrival(int node, MsgHandle h) {
   NicServer& server = nic(node, /*egress=*/false);
-  if (!server.pipe.empty() && server.pipe.front().h == h) {
-    server.pipe.pop_front();
-    if (!server.pipe.empty()) nic_pipe_arm(node, /*egress=*/false, server);
+  if (!server.fifo.empty() && server.fifo.front().h == h) {
+    server.fifo.pop_front();
+    if (!server.fifo.empty()) nic_arm(node, /*egress=*/false, server);
   }
   on_message_arrival(h);
-}
-
-// A pause landed while bookings are outstanding: rebuild the classic state
-// the pause/resume/crash logic expects. Entries whose service already
-// ended (ingress only) are in pure propagation flight — pause-immune, so
-// each leaves with an armed arrival event: the front already has its
-// merged event; successors get theirs here, at the exact instants the
-// classic chain used. The front still-in-service booking becomes `active`
-// with its true remaining time; the rest re-queue in order. Ties
-// (end == now, event not yet fired) stay with the server, matching the
-// classic tie where the pause beat the done event: the message pays the
-// recovery draw.
-void System::nic_pipe_to_classic(int node, NicServer& server) {
-  while (!server.pipe.empty() && server.pipe.front().end < now()) {
-    NicServer::PipeEntry& e = server.pipe.front();
-    if (!e.ev.valid()) {
-      e.ev = engine_.schedule_at(e.end + net_.latency(),
-                                 [this, node, h = e.h] { nic_pipe_arrival(node, h); });
-    }
-    server.pipe.pop_front();  // its arrival event now owns the delivery
-  }
-  for (NicServer::PipeEntry& e : server.pipe) {
-    engine_.cancel(e.ev);  // no-op for entries past the front
-    if (!server.active.valid()) {
-      assert(e.start <= now());
-      server.active = e.h;
-      server.remaining = e.end - now();
-      server.since = now();
-    } else {
-      server.queue.push_back(e.h);
-    }
-  }
-  server.pipe.clear();
-  server.busy_until = SimTime::zero();
-}
-
-void System::nic_try_serve(int node, bool egress) {
-  NicServer& server = nic(node, egress);
-  if (server.paused() || server.active.valid() || server.queue.empty()) return;
-  const MsgHandle h = server.queue.front();
-  server.queue.pop_front();
-  server.active = h;
-  server.remaining = pool_.ref(h).xmit;
-  server.since = now();
-  ++server.epoch;
-  server.done_ev = engine_.schedule_after(
-      server.remaining, [this, node, egress, ep = server.epoch] {
-        nic_service_done(node, egress, ep);
-      });
-}
-
-void System::nic_service_done(int node, bool egress, std::uint64_t epoch) {
-  NicServer& server = nic(node, egress);
-  if (server.epoch != epoch || server.paused() || !server.active.valid()) return;
-  const MsgHandle h = server.active;
-  server.active = MsgHandle{};
-  server.done_ev = EventId{};
-  if (egress) {
-    handoff_to_ingress(h);
-  } else {
-    // Delivered at the destination after propagation.
-    engine_.schedule_after(net_.latency(),
-                           [this, h] { on_message_arrival(h); });
-  }
-  nic_try_serve(node, egress);
 }
 
 // Bits left the source NIC: apply the link fault model, then serialize into
@@ -1307,52 +1219,74 @@ void System::fail_message(MsgHandle h) {
   pool_.release(h);
 }
 
+// Ingress bookings whose service already ended are in propagation flight,
+// which no pause stops: each leaves with an armed arrival event (the front
+// already has its merged event). Ties (end == now, event not yet fired)
+// stay with the server and pay the stall, like a pause that beats the
+// service-end. The front keeps its unserved time, at least 1 ns.
 void System::nic_pause(int node, bool egress) {
   NicServer& server = nic(node, egress);
   if (++server.pause_depth > 1) return;  // already stopped by another cause
   server.paused_at = now();
-  if (!server.pipe.empty()) nic_pipe_to_classic(node, server);
-  if (server.active.valid()) {
-    server.remaining -= now() - server.since;
-    if (server.remaining < SimDuration{1}) server.remaining = SimDuration{1};
-    ++server.epoch;
-    engine_.cancel(server.done_ev);
-    server.done_ev = EventId{};
+  while (!server.fifo.empty() && server.fifo.front().end < now()) {
+    NicServer::Booking& e = server.fifo.front();
+    if (!e.ev.valid()) {
+      e.ev = engine_.schedule_at(e.end + net_.latency(),
+                                 [this, node, h = e.h] { nic_arrival(node, h); });
+    }
+    server.fifo.pop_front();  // its arrival event now owns the delivery
   }
+  if (server.fifo.empty()) return;
+  NicServer::Booking& front = server.fifo.front();
+  engine_.cancel(front.ev);
+  front.ev = EventId{};
+  server.remaining = std::max(SimDuration{1}, front.end - now());
+  server.front_in_service = true;
 }
 
+// Re-book the whole FIFO contiguously from now and arm the front. A front
+// that was mid-service at the pause resumes with its unserved time plus the
+// recovery draw; anything submitted while paused gets its full wire time.
 void System::nic_resume(int node, bool egress) {
   NicServer& server = nic(node, egress);
   assert(server.paused());
   if (--server.pause_depth > 0) return;  // another cause still holds it
-  if (server.active.valid()) {
-    // TCP loss recovery after the stall: retransmission plus congestion-
-    // window rebuild, proportional to how long the host was frozen.
-    double recovery = net_.params().tcp_recovery_scale;
-    if (recovery > 0.0 && node_htt_active(node)) {
-      recovery *= cfg_.htt_nic_recovery_factor;
+  SimTime cursor = now();
+  for (NicServer::Booking& e : server.fifo) {
+    SimDuration service = pool_.ref(e.h).xmit;
+    if (server.front_in_service) {  // the front, first pass only
+      server.front_in_service = false;
+      service = server.remaining;
+      // TCP loss recovery after the stall: retransmission plus congestion-
+      // window rebuild, proportional to how long the host was frozen.
+      double recovery = net_.params().tcp_recovery_scale;
+      if (recovery > 0.0 && node_htt_active(node)) {
+        recovery *= cfg_.htt_nic_recovery_factor;
+      }
+      if (recovery > 0.0) {
+        const SimDuration stall = now() - server.paused_at;
+        service += nic_rng_.uniform_duration(
+            SimDuration::zero(), std::max(SimDuration{1}, scale(stall, recovery)));
+      }
     }
-    if (recovery > 0.0) {
-      const SimDuration stall = now() - server.paused_at;
-      server.remaining += nic_rng_.uniform_duration(
-          SimDuration::zero(),
-          std::max(SimDuration{1}, scale(stall, recovery)));
-    }
-    server.since = now();
-    ++server.epoch;
-    server.done_ev = engine_.schedule_after(
-        server.remaining, [this, node, egress, ep = server.epoch] {
-          nic_service_done(node, egress, ep);
-        });
-  } else {
-    nic_try_serve(node, egress);
+    e.start = cursor;
+    e.end = cursor + service;
+    cursor = e.end;
   }
+  server.busy_until = cursor;
+  if (!server.fifo.empty()) nic_arm(node, egress, server);
 }
 
 void System::on_message_arrival(MsgHandle h) {
   MessageRec& msg = pool_.ref(h);
-  --in_flight_messages_;
   note_progress();
+  if (node_crashed(msg.dst_node)) {
+    // The destination died while the message was in propagation flight:
+    // its receiver is gone, so nothing would ever match or release it.
+    fail_message(h);
+    return;
+  }
+  --in_flight_messages_;
   if (msg.ghost) {
     // Transport dedup swallows injected duplicates; the ghost burned its
     // ingress wire time, so the record's job is done.
@@ -1929,15 +1863,9 @@ void System::crash_node(int node) {
   nic_pause(node, /*egress=*/true);
   nic_pause(node, /*egress=*/false);
   for (NicServer* server : {&ns.egress, &ns.ingress}) {
-    if (server->active.valid()) {
-      fail_message(server->active);
-      server->active = MsgHandle{};
-      ++server->epoch;
-      engine_.cancel(server->done_ev);
-      server->done_ev = EventId{};
-    }
-    for (const MsgHandle h : server->queue) fail_message(h);
-    server->queue.clear();
+    for (const NicServer::Booking& e : server->fifo) fail_message(e.h);
+    server->fifo.clear();
+    server->front_in_service = false;
   }
   // Fail-stop: every task placed here dies where it stands.
   for (const auto& tp : tasks_) {
@@ -2067,22 +1995,20 @@ void System::validate() const {
   if (consumed > ack_router_.size()) {
     fail("kConsumed records outnumber outstanding ack routes");
   }
-  // NIC pipeline invariants: bookings and classic state are mutually
-  // exclusive, a paused server holds no bookings, and every pipeline is a
-  // contiguous FIFO of live records.
+  // NIC invariants: every FIFO entry is a live record, and an unpaused
+  // server's bookings are a contiguous FIFO ending at busy_until (a paused
+  // one holds no bookings until its resume).
   for (int n = 0; n < cluster_.node_count(); ++n) {
     const auto& ns = *node_state_[static_cast<std::size_t>(n)];
     for (const NicServer* server : {&ns.egress, &ns.ingress}) {
-      if (server->pipe.empty()) continue;
-      if (server->paused()) fail("paused NIC server holds pipeline bookings");
-      if (server->classic_busy()) {
-        fail("NIC pipeline and classic service state coexist");
+      for (const NicServer::Booking& e : server->fifo) {
+        if (pool_.get(e.h) == nullptr) fail("NIC FIFO holds a stale handle");
       }
+      if (server->paused() || server->fifo.empty()) continue;
       SimTime prev_end = SimTime::zero();
-      for (const NicServer::PipeEntry& e : server->pipe) {
-        if (pool_.get(e.h) == nullptr) fail("NIC booking holds a stale handle");
+      for (const NicServer::Booking& e : server->fifo) {
         if (e.end < e.start || e.start < prev_end) {
-          fail("NIC pipeline bookings are not a contiguous FIFO");
+          fail("NIC bookings are not a contiguous FIFO");
         }
         prev_end = e.end;
       }

@@ -249,16 +249,14 @@ class System {
   /// run. Null restores the perfectly reliable transport.
   void set_link_fault_model(LinkFaultModel* model) { link_fault_ = model; }
 
-  /// Enable/disable the transport fast paths: pipelined NIC egress/ingress
-  /// booking (one merged event per stage instead of per-message service
-  /// chains) and lazily matured rendezvous acks (delivery piggybacks on the
-  /// sender's next poll instead of a dedicated event). Both self-disable
-  /// whenever a pause or fault model makes the short-circuit observable.
-  /// NIC booking is bit-exact. Lazy acks are NOT bit-exact on every
-  /// program: an 8-rank FT (2 nodes x 4 ranks) ends slightly earlier with
-  /// them than without (DESIGN.md §11), though the equality tests' ring,
-  /// same-node and fault-plan scenarios hash equal. On by default; the
-  /// off position exists for debugging and the equality tests.
+  /// Enable/disable the transport fast path: lazily matured rendezvous
+  /// acks (delivery piggybacks on the sender's next poll instead of a
+  /// dedicated event). It self-disables while a link fault model is armed.
+  /// Lazy acks are NOT bit-exact on every program: an 8-rank FT (2 nodes x
+  /// 4 ranks) ends slightly earlier with them than without (DESIGN.md §11),
+  /// though the equality tests' ring, same-node and fault-plan scenarios
+  /// hash equal. On by default; the off position exists for debugging and
+  /// the equality tests.
   void set_transport_fast_paths(bool on) { fast_paths_ = on; }
   [[nodiscard]] bool transport_fast_paths() const { return fast_paths_; }
 
@@ -410,26 +408,18 @@ class System {
   void apply_ack(std::uint64_t ack_key, bool allow_wake);
 
   // Event-driven NIC servers (pause while the node is in SMM: a frozen
-  // host neither transmits nor ACKs, so TCP stalls with the CPUs).
+  // host neither transmits nor ACKs, so TCP stalls with the CPUs). Each is
+  // one booked FIFO whose front carries the only armed event (egress: the
+  // handoff; ingress: the merged service-end + propagation arrival); see
+  // the NicServer comment in system.cpp.
   struct NicServer;
   NicServer& nic(int node, bool egress);
   void nic_submit(int node, bool egress, MsgHandle h);
-  void nic_try_serve(int node, bool egress);
-  void nic_service_done(int node, bool egress, std::uint64_t epoch);
   void nic_pause(int node, bool egress);
   void nic_resume(int node, bool egress);
-
-  // NIC pipeline fast path: an idle unpaused server books each message's
-  // service interval at submit time and carries it on one event (egress:
-  // the handoff; ingress: the merged service-end + propagation arrival).
-  // A pause converts outstanding bookings back to the classic
-  // active/queue form, after which the original pause/resume/crash logic
-  // applies unchanged.
-  void nic_book(int node, bool egress, NicServer& server, MsgHandle h);
-  void nic_pipe_arm(int node, bool egress, NicServer& server);
-  void nic_pipe_handoff(int node, MsgHandle h);
-  void nic_pipe_arrival(int node, MsgHandle h);
-  void nic_pipe_to_classic(int node, NicServer& server);
+  void nic_arm(int node, bool egress, NicServer& server);
+  void nic_handoff(int node, MsgHandle h);
+  void nic_arrival(int node, MsgHandle h);
 
   // SMM helpers.
   void apply_refill(TaskImpl& t, Rng& rng, SimDuration frozen_for);

@@ -234,6 +234,28 @@ TEST(FaultInjectorTest, CrashKillsNodeAndDiagnosesBlockedPeers) {
   EXPECT_EQ(sys.fault_log()[0].kind, FaultRecord::Kind::kCrash);
 }
 
+// A message still in ingress propagation when its destination crashes must
+// be discarded on arrival, not parked in the killed receiver's unexpected
+// queue: the pool drains to zero live records at every crash instant.
+// Instants 33-87 us catch the 1 KB message between its ingress service end
+// and its arrival.
+TEST(FaultInjectorTest, CrashDuringIngressPropagationReleasesTheMessage) {
+  for (int us = 0; us < 400; ++us) {
+    System sys{base_config(2)};
+    FaultPlan plan;
+    plan.crash(1, SimTime::zero() + microseconds(us));
+    const FaultInjector injector{sys, plan};
+    const GroupId g = sys.create_group(2);
+    sys.spawn_member(g, 0, TaskSpec::with_actions(
+                               "sender", 0, {Send{1, 1024, 3}, Compute{milliseconds(50)}}));
+    sys.spawn_member(g, 1, TaskSpec::with_actions(
+                               "receiver", 1, {Compute{milliseconds(10)}, Recv{0, 3}}));
+    (void)sys.try_run();
+    EXPECT_TRUE(sys.task_stats(TaskId{1}).failed) << "crash at " << us << " us";
+    EXPECT_EQ(sys.transport_stats().pool_live, 0) << "crash at " << us << " us";
+  }
+}
+
 TEST(FaultInjectorTest, SlowNodeStretchesComputeByItsScale) {
   System sys{base_config(1)};
   FaultPlan plan;

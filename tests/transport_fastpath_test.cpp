@@ -1,27 +1,25 @@
-// Fast-path equality suite: the transport's opportunistic machinery — NIC
-// pipeline booking, lazy rendezvous-ack maturation, and the piggyback ack
-// delivery route. Every test here runs the same scenario twice, once with
-// System::set_transport_fast_paths on (the default) and once off (the
-// classic event-per-step chain), and asserts the full observable trace
-// hashes are EQUAL. There are no pinned constants: the classic path is
-// itself covered by the pinned goldens in transport_test.cpp, so equality
-// against it extends those pins to the fast paths on these scenarios.
+// Lazy-ack equality suite: rendezvous acks matured lazily on the sender's
+// next poll versus delivered by a dedicated event per ack. Every equality
+// test here runs the same scenario twice, once with
+// System::set_transport_fast_paths on (the default: lazy acks) and once off
+// (eager ack events), and asserts the full observable trace hashes are
+// EQUAL. The eager chain is itself covered by the pinned goldens in
+// transport_test.cpp, so equality against it extends those pins to lazy
+// acks on these scenarios.
 //
-// Equality here does NOT make the fast paths bit-exact in general. NIC
-// booking is; lazy ack maturation is not: FT with 4 ranks per node ends
-// slightly earlier with it (DESIGN.md §11), and
+// Equality here does NOT make lazy acks bit-exact in general: FT with 4
+// ranks per node ends slightly earlier with them (DESIGN.md §11), and
 // StreamingEqualityTest.SmallFtDefaultPathGoldenPinned pins that default
 // path rather than asserting equality.
 //
-// The scenarios target exactly the conditions under which the fast paths
-// must hand back to the classic machinery:
-//  * long SMIs landing mid-burst (NIC pause converts booked pipelines);
+// The scenarios target the conditions under which lazy delivery must match
+// the event chain:
+//  * long SMIs landing mid-burst (acks owed to frozen senders);
 //  * fault-plan drops/duplicates and a crash (link faults disable the
 //    piggyback ack route; kill-time ack wakes must keep watchdog parity);
-//  * same-node rendezvous (the intra-node ack timing path);
-//  * permuted send interleavings (booking must serialize any submit order
-//    exactly like per-message service, mirroring determinism_test.cpp's
-//    permutation style).
+//  * same-node rendezvous (the intra-node ack timing path).
+// The eager egress burst at the end has no acks to compare; it pins the
+// NIC FIFO's service order under every submit interleaving instead.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -87,8 +85,8 @@ SystemConfig wyeast_cfg(int nodes, std::uint64_t seed) {
 
 // Rendezvous ring with deep nonblocking bursts: every rank keeps `burst`
 // isends and irecvs outstanding at once, so rendezvous acks pile up and
-// the waitall progress counters, lazy maturation and (with SMIs) pipeline
-// conversions all engage.
+// the waitall progress counters, lazy maturation and (with SMIs) NIC
+// pauses all engage.
 std::uint64_t ack_ring_hash(bool fast_paths, bool long_smi, int ranks_per_node,
                             std::uint64_t seed) {
   const int ranks = 6;
@@ -150,7 +148,7 @@ TEST(TransportFastPathTest, SameNodeRendezvousMatchesClassic) {
 // Probabilistic drops/duplicates plus a mid-run crash: link faults must
 // make the piggyback ack route disable itself (retransmission timing is
 // observable), and a killed sender's queued lazy acks must keep the same
-// watchdog progress sequence the classic chain produced.
+// watchdog progress sequence the eager ack events produced.
 std::uint64_t faulted_hash(bool fast_paths, std::uint64_t seed) {
   SystemConfig cfg = wyeast_cfg(6, seed);
   cfg.smi = SmiConfig::long_every_second();
@@ -183,15 +181,16 @@ TEST(TransportFastPathTest, FaultPlanDropsMatchClassic) {
 }
 
 // Eager burst at one egress NIC under every cross-sender interleaving of
-// the submit order: booked pipeline service must equal per-message classic
-// service for any order in which submits hit the server. Three senders on
-// one node interleave their injections through the shared egress server;
-// the permutation rotates which sender's burst is emitted first.
-std::uint64_t egress_interleave_hash(bool fast_paths, const int (&order)[3]) {
+// the submit order: the booked FIFO must serialize any order in which
+// submits hit the server, including across the SMIs that pause it
+// mid-burst. Three senders on one node interleave their injections through
+// the shared egress server; the permutation rotates which sender's burst
+// is emitted first. The traffic is eager, so no ack path is involved and
+// the hashes are pinned rather than compared across the toggle.
+std::uint64_t egress_interleave_hash(const int (&order)[3]) {
   SystemConfig cfg = wyeast_cfg(2, 5);
-  cfg.smi = SmiConfig::long_every_second();  // pauses convert mid-burst
+  cfg.smi = SmiConfig::long_every_second();  // pauses land mid-burst
   System sys{cfg};
-  sys.set_transport_fast_paths(fast_paths);
   auto programs = make_rank_programs(4);  // ranks 0..2 on node 0, 3 on node 1
   constexpr int kBurst = 30;
   for (int round = 0; round < 3; ++round) {
@@ -227,11 +226,15 @@ std::uint64_t egress_interleave_hash(bool fast_paths, const int (&order)[3]) {
   return h.value();
 }
 
-TEST(TransportFastPathTest, EgressBurstMatchesClassicAcrossInterleavings) {
+// Every order ends identically: only the sink's irecv posting order
+// differs, and posted receives match by (source, tag).
+constexpr std::uint64_t kEgressBurstHash = 14413920452737650820ull;
+
+TEST(TransportFastPathTest, EgressBurstHashPinnedAcrossInterleavings) {
   const int perms[][3] = {{0, 1, 2}, {0, 2, 1}, {1, 0, 2},
                           {1, 2, 0}, {2, 0, 1}, {2, 1, 0}};
   for (const auto& p : perms) {
-    EXPECT_EQ(egress_interleave_hash(true, p), egress_interleave_hash(false, p))
+    EXPECT_EQ(egress_interleave_hash(p), kEgressBurstHash)
         << "order " << p[0] << p[1] << p[2];
   }
 }
