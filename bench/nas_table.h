@@ -25,17 +25,9 @@ struct BenchArgs {
   /// --jobs=1 reproduces the historical serial path exactly (results are
   /// byte-identical at any value either way).
   int jobs = 0;
-  /// --retained: materialize whole rank programs instead of streaming
-  /// chunks (the pre-streaming default; bit-identical results, higher
-  /// peak RSS — useful for memory A/B runs).
-  bool retained = false;
 
   [[nodiscard]] int effective_jobs() const {
     return smilab::effective_jobs(jobs);
-  }
-
-  [[nodiscard]] TraceMode trace_mode() const {
-    return retained ? TraceMode::kRetained : TraceMode::kStreaming;
   }
 
   static BenchArgs parse(int argc, char** argv) {
@@ -48,8 +40,6 @@ struct BenchArgs {
         args.jobs = std::max(0, std::atoi(arg.c_str() + 7));
       } else if (arg.rfind("--csv=", 0) == 0) {
         args.csv_prefix = arg.substr(6);
-      } else if (arg == "--retained") {
-        args.retained = true;
       } else if (arg == "--quick") {
         args.quick = true;
         args.trials = 2;

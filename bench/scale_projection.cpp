@@ -9,10 +9,12 @@
 //     halo solver run at 16 -> 4096 ranks through streaming action sources
 //     (mpi/streaming.h), reporting cells/s and actions/s per rank count,
 //     then an A/B memory measurement at the top rank count: the same cell
-//     is run in a forked child per trace mode (streaming first), each child
-//     reporting its stats hash and getrusage peak-RSS delta. The parent
-//     asserts the hashes are EQUAL (streaming is a pure memory change) and
-//     records the retained/streaming RSS ratio. CI gates on the ci_floor_*/
+//     is run in one forked child per launcher — streamed sources through
+//     run_mpi_job_streaming first, then whole programs through run_mpi_job
+//     (the retained baseline) — each child reporting its stats hash and
+//     getrusage peak-RSS delta. The parent asserts the hashes are EQUAL
+//     (streaming is a pure memory change) and records the
+//     retained/streaming RSS ratio. CI gates on the ci_floor_*/
 //     ci_ceiling_* keys in BENCH_scale_projection.json: the ratio floor is
 //     the headline — peak residency O(ranks), not O(ranks x actions).
 //
@@ -139,8 +141,8 @@ bool emit_ring_chunk(const RingSolver& s, int rank, int chunk, RankProgram& rp,
   return true;
 }
 
-/// Retained build: the same emitter looped to completion per rank, so the
-/// two modes share one program definition (bit-identical sequences).
+/// Retained build: the same emitter looped to completion per rank, so both
+/// launchers share one program definition (bit-identical sequences).
 std::vector<RankProgram> build_ring(const RingSolver& s) {
   auto programs = make_rank_programs(s.ranks);
   for (auto& rp : programs) {
@@ -217,11 +219,13 @@ struct CellResult {
   std::int64_t peak_program_actions = 0;
 };
 
-CellResult run_ring_cell(const RingSolver& s, TraceMode mode) {
+/// `streamed`: ring_sources through run_mpi_job_streaming; otherwise the
+/// whole build_ring programs through run_mpi_job (the retained baseline).
+CellResult run_ring_cell(const RingSolver& s, bool streamed) {
   System sys = make_ring_system(s);
   benchtool::CpuTimer timer;
   const MpiJobResult result =
-      mode == TraceMode::kStreaming
+      streamed
           ? run_mpi_job_streaming(sys, s.ranks, ring_sources(s),
                                   block_placement(s.ranks, kRanksPerNode),
                                   WorkloadProfile{})
@@ -253,11 +257,11 @@ long long max_rss_kb() {
   return static_cast<long long>(usage.ru_maxrss);  // KB on Linux
 }
 
-/// Runs the cell in a forked child so each mode's peak RSS is measured in a
+/// Runs the cell in a forked child so each launcher's peak RSS is measured in a
 /// pristine address space (the parent's heap high-water mark can't mask the
 /// delta). The child reports {cpu_ns, hash, peak_program_actions, rss} over
 /// a pipe. Must run before the parent allocates anything sizeable.
-RssReport measure_rss(const RingSolver& s, TraceMode mode) {
+RssReport measure_rss(const RingSolver& s, bool streamed) {
   struct Wire {
     std::int64_t cpu_ns;
     std::uint64_t hash;
@@ -275,7 +279,7 @@ RssReport measure_rss(const RingSolver& s, TraceMode mode) {
   if (pid == 0) {
     close(fd[0]);
     const long long base_kb = max_rss_kb();
-    const CellResult cell = run_ring_cell(s, mode);
+    const CellResult cell = run_ring_cell(s, streamed);
     const Wire wire{static_cast<std::int64_t>(cell.cpu_s * 1e9), cell.hash,
                     cell.peak_program_actions, max_rss_kb() - base_kb};
     const ssize_t wrote = write(fd[1], &wire, sizeof wire);
@@ -310,8 +314,8 @@ RssReport measure_rss(const RingSolver& s, TraceMode mode) {
 
 /// No fork on this platform: run in-process for the hash/peak comparison;
 /// RSS stays unmeasured and the JSON says so.
-RssReport measure_rss(const RingSolver& s, TraceMode mode) {
-  const CellResult cell = run_ring_cell(s, mode);
+RssReport measure_rss(const RingSolver& s, bool streamed) {
+  const CellResult cell = run_ring_cell(s, streamed);
   RssReport report;
   report.cpu_s = cell.cpu_s;
   report.hash = cell.hash;
@@ -346,8 +350,8 @@ int main(int argc, char** argv) {
               "(%lld actions) ===\n\n",
               pair.ranks, pair.iters,
               static_cast<long long>(pair.total_actions()));
-  const RssReport streaming = measure_rss(pair, TraceMode::kStreaming);
-  const RssReport retained = measure_rss(pair, TraceMode::kRetained);
+  const RssReport streaming = measure_rss(pair, /*streamed=*/true);
+  const RssReport retained = measure_rss(pair, /*streamed=*/false);
   const bool hash_match =
       streaming.hash != 0 && streaming.hash == retained.hash;
   const double rss_ratio =
@@ -373,8 +377,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // 64k-rank residency cell (still before the parent grows): streaming
-  // mode only — retained at this scale would hold 39M actions. Gated
+  // 64k-rank residency cell (still before the parent grows): streamed
+  // only — retained programs at this scale would hold 39M actions. Gated
   // against the same committed ceiling as the 4096-rank pair, proving the
   // O(ranks) bound holds another 16x out.
   RssReport big{};
@@ -385,7 +389,7 @@ int main(int argc, char** argv) {
     giant.iters = 200;
     std::printf("=== 65536-rank streaming residency: %lld actions ===\n\n",
                 static_cast<long long>(giant.total_actions()));
-    big = measure_rss(giant, TraceMode::kStreaming);
+    big = measure_rss(giant, /*streamed=*/true);
     std::printf("  streaming: peak RSS delta %8lld KB (ceiling %lld KB), "
                 "peak %9lld actions resident, %6.2f cpu s%s\n\n",
                 big.rss_delta_kb, kStreamingRssCeilingKb,
@@ -416,7 +420,7 @@ int main(int argc, char** argv) {
     RingSolver s;
     s.ranks = ranks;
     s.iters = sweep_iters;
-    const CellResult cell = run_ring_cell(s, TraceMode::kStreaming);
+    const CellResult cell = run_ring_cell(s, /*streamed=*/true);
     const double actions_per_s =
         static_cast<double>(s.total_actions()) / cell.cpu_s;
     sweep_table.row()
@@ -437,8 +441,8 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", sweep_table.to_aligned_text().c_str());
   std::printf("Reading: resident actions stay O(ranks) — 3 per rank, one\n"
-              "chunk — while total actions grow without bound; retained mode\n"
-              "would hold every action for the whole run.\n\n");
+              "chunk — while total actions grow without bound; whole retained\n"
+              "programs would hold every action for the whole run.\n\n");
 
   // Scale-flatness: per-action throughput at 4096 ranks relative to 16.
   // The committed headline metric — near 1.0 means the event core's

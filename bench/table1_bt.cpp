@@ -1,7 +1,7 @@
 // Reproduces Table 1: NAS BT under no/short/long SMM intervals, classes
 // A/B/C, 1/4/16 nodes, 1 or 4 MPI ranks per node.
 //
-// Usage: table1_bt [--trials=N] [--quick] [--jobs=N] [--retained]
+// Usage: table1_bt [--trials=N] [--quick] [--jobs=N]
 #include "nas_table.h"
 
 int main(int argc, char** argv) {
@@ -10,7 +10,6 @@ int main(int argc, char** argv) {
   NasRunOptions options;
   options.trials = args.trials;
   options.jobs = args.jobs;
-  options.trace_mode = args.trace_mode();
   benchtool::BenchJson json{"table1_bt"};
   benchtool::print_nas_table(
       "Table 1: BT with no (0), short (1) and long (2) SMM intervals",

@@ -1,7 +1,7 @@
 // Reproduces Table 2: NAS EP under no/short/long SMM intervals, classes
 // A/B/C, 1-16 nodes, 1 or 4 MPI ranks per node.
 //
-// Usage: table2_ep [--trials=N] [--quick] [--jobs=N] [--retained]
+// Usage: table2_ep [--trials=N] [--quick] [--jobs=N]
 #include "nas_table.h"
 
 int main(int argc, char** argv) {
@@ -10,7 +10,6 @@ int main(int argc, char** argv) {
   NasRunOptions options;
   options.trials = args.trials;
   options.jobs = args.jobs;
-  options.trace_mode = args.trace_mode();
   benchtool::BenchJson json{"table2_ep"};
   benchtool::print_nas_table(
       "Table 2: EP with no (0), short (1) and long (2) SMM intervals",

@@ -1,7 +1,7 @@
 // Reproduces Table 4: effect of HTT on EP with 4 MPI ranks per node, under
 // no/short/long SMM intervals.
 //
-// Usage: table4_ep_htt [--trials=N] [--quick] [--jobs=N] [--retained]
+// Usage: table4_ep_htt [--trials=N] [--quick] [--jobs=N]
 #include "nas_table.h"
 
 int main(int argc, char** argv) {
@@ -10,7 +10,6 @@ int main(int argc, char** argv) {
   NasRunOptions options;
   options.trials = args.trials;
   options.jobs = args.jobs;
-  options.trace_mode = args.trace_mode();
   benchtool::BenchJson json{"table4_ep_htt"};
   benchtool::print_htt_table(
       "Table 4: Effect of HTT on EP with 4 MPI ranks per node",

@@ -85,9 +85,10 @@ struct NasKnob {
   std::int64_t iter_pad_ns = 0;     ///< added to each iteration's compute
 };
 
-/// Build the per-rank traces for a cell under the given knobs (retained
-/// mode; loops emit_nas_chunk per rank, so retained and streaming programs
-/// are the same sequence by construction).
+/// Build the whole per-rank programs for a cell under the given knobs: the
+/// retained reference that simulations (which stream make_nas_rank_sources)
+/// are checked against. Loops emit_nas_chunk per rank, so retained and
+/// streaming programs are the same sequence by construction.
 [[nodiscard]] std::vector<RankProgram> build_nas_trace(const NasJobSpec& spec,
                                                        const NasKnob& knob);
 

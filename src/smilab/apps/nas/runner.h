@@ -10,7 +10,6 @@
 #include <optional>
 
 #include "smilab/apps/nas/nas.h"
-#include "smilab/mpi/job.h"
 #include "smilab/smm/smi_config.h"
 #include "smilab/stats/online_stats.h"
 
@@ -27,12 +26,6 @@ struct NasRunOptions {
   /// value: every sim derives from (spec, knob, smi, seed) alone and is
   /// collected in grid order (core/sweep.h).
   int jobs = 1;
-  /// Program residency (mpi/job.h): streaming (the default — big grids
-  /// hold one chunk per rank, peak RSS O(ranks)) or retained (the
-  /// historical whole-program path, still selectable via --retained).
-  /// Results are bit-identical either way — the streaming equality suite
-  /// pins it, so the golden hashes do not move with this default.
-  TraceMode trace_mode = TraceMode::kStreaming;
 };
 
 struct NasCellResult {
@@ -56,11 +49,13 @@ struct NasCellResult {
   }
 };
 
-/// Simulate one run of a cell under the given calibrated knobs.
+/// Simulate one run of a cell under the given calibrated knobs. Rank
+/// programs stream from make_nas_rank_sources (one chunk per rank, peak RSS
+/// O(ranks)); the streaming equality suite pins the result bit-for-bit to
+/// running the whole programs build_nas_trace materializes.
 double simulate_nas_once(const NasJobSpec& spec, const NasKnob& knob,
                          const SmiConfig& smi, std::uint64_t seed,
-                         double node_speed_sigma,
-                         TraceMode mode = TraceMode::kRetained);
+                         double node_speed_sigma);
 
 /// Fit the knobs so the simulated no-SMI runtime matches the paper baseline
 /// (to ~0.1%): bracketed bisection on the exchange size, then a per-

@@ -55,8 +55,9 @@ class SetAssocCache {
   /// Drop every line (what SMM entry/exit effectively does to hot state).
   void flush();
 
-  /// Debug knob: disable the last-line memo so tests can prove the fast
-  /// path changes nothing observable.
+  /// Test reference: with the last-line memo off, every access takes the
+  /// full set lookup. CacheHierarchyTest.FastPath* compares the memoized
+  /// default against it to prove the memo changes nothing observable.
   void set_fast_path(bool enabled);
   [[nodiscard]] bool fast_path_enabled() const { return fast_path_; }
 
@@ -183,8 +184,9 @@ class CacheHierarchy {
   /// Flush all levels (SMM entry/exit effect).
   void flush();
 
-  /// Debug knob: toggles the per-level last-line memo (tests prove stats
-  /// equality with and without it).
+  /// Test reference: toggles the per-level last-line memo off, the plain
+  /// lookup CacheHierarchyTest.FastPath* compares the memoized default
+  /// against (stats must be equal with and without it).
   void set_fast_path(bool enabled);
 
   [[nodiscard]] const HierarchyStats& stats() const { return stats_; }

@@ -34,11 +34,10 @@ usage: smilab <command> [--flag=value ...]
 commands:
   nas        --workload=ep|bt|ft --class=A|B|C [--nodes=N] [--ranks-per-node=1|4]
              [--htt] [--smi=none|short|long] [--interval-ms=N] [--trials=N]
-             [--seed=N] [--jobs=N] [--retained]
+             [--seed=N] [--jobs=N]
              Run one NAS table cell (calibrated against the paper baseline)
-             under the chosen SMI regime. Programs stream chunk-by-chunk by
-             default (peak RSS O(ranks)); --retained materializes whole
-             rank programs (bit-identical results).
+             under the chosen SMI regime. Rank programs stream chunk by
+             chunk (peak RSS O(ranks)).
   convolve   [--case=cf|cu] [--cpus=1..8] [--smi=none|short|long]
              [--gap-ms=N] [--seed=N]
              The Figure-1 multithreaded convolution at one sweep point.
@@ -146,9 +145,6 @@ int cmd_nas(const Options& options, std::ostream& out, std::ostream& err) {
   const auto trials = static_cast<int>(options.get_int("trials", 3, &error));
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 2016, &error));
   const auto jobs = static_cast<int>(options.get_int("jobs", 1, &error));
-  const TraceMode mode = options.get_bool("retained", false)
-                             ? TraceMode::kRetained
-                             : TraceMode::kStreaming;
   const SmiConfig smi = smi_from(options, &error);
   (void)options.get("trace", "");  // mark consumed
   if (!error.empty()) return fail(err, error);
@@ -167,8 +163,7 @@ int cmd_nas(const Options& options, std::ostream& out, std::ostream& err) {
   const std::vector<double> runs = sweep.map<double>(2 * trials, [&](int i) {
     const SmiConfig& cfg = (i % 2 == 0) ? SmiConfig::none() : smi;
     return simulate_nas_once(spec, knob, cfg,
-                             seed + static_cast<std::uint64_t>(i / 2), 0.003,
-                             mode);
+                             seed + static_cast<std::uint64_t>(i / 2), 0.003);
   });
   OnlineStats base, noisy;
   for (int t = 0; t < trials; ++t) {

@@ -10,7 +10,7 @@ namespace {
 /// Shared spawn path: create the group and one spin-waiting task per rank,
 /// with the rank's ActionSource supplied by `source_for` (retained:
 /// VectorActions over the materialized program; streaming: whatever the
-/// RankSourceFactory builds — the only difference between the two modes).
+/// RankSourceFactory builds — the only difference between the two launchers).
 template <typename SourceFor>
 MpiJobResult spawn_mpi_job(System& sys, int nranks,
                            const std::vector<int>& placement,

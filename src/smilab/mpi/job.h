@@ -11,18 +11,6 @@
 
 namespace smilab {
 
-/// How a job's rank programs are held in memory. Retained is the historical
-/// bit-pinned path (whole program materialized per rank); streaming holds
-/// one chunk per rank (mpi/streaming.h) and produces identical statistics.
-enum class TraceMode {
-  kRetained,
-  kStreaming,
-};
-
-[[nodiscard]] constexpr const char* to_string(TraceMode mode) {
-  return mode == TraceMode::kRetained ? "retained" : "streaming";
-}
-
 struct MpiJobResult {
   SimDuration elapsed;               ///< start -> last rank finish
   GroupId group;

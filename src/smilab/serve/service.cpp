@@ -104,10 +104,8 @@ std::string run_nas(const ExperimentRequest& req) {
   OnlineStats base, noisy;
   for (int t = 0; t < req.nas_trials; ++t) {
     const std::uint64_t seed = req.seed + static_cast<std::uint64_t>(t);
-    base.add(simulate_nas_once(req.nas, knob, SmiConfig::none(), seed, 0.003,
-                               TraceMode::kStreaming));
-    noisy.add(simulate_nas_once(req.nas, knob, req.smi_config(), seed, 0.003,
-                                TraceMode::kStreaming));
+    base.add(simulate_nas_once(req.nas, knob, SmiConfig::none(), seed, 0.003));
+    noisy.add(simulate_nas_once(req.nas, knob, req.smi_config(), seed, 0.003));
   }
   const double work = nas_work_units(req.nas.bench, req.nas.cls);
   JsonWriter w;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include "smilab/core/fnv.h"
 #include "smilab/smm/smi_controller.h"
@@ -541,10 +542,8 @@ void System::stop_running(TaskImpl& t, bool keep_on_cpu) {
     assert(cs.current == t.id.value);
     cs.current = -1;
     t.on_cpu = false;
-    if (cs.quantum_ev.valid()) {
-      engine_.cancel(cs.quantum_ev);
-      cs.quantum_ev = EventId{};
-    }
+    engine_.cancel(cs.quantum_ev);
+    cs.quantum_ev = EventId{};
     sibling_rate_changed(t.node, t.cpu);
   }
 }
@@ -578,16 +577,22 @@ void System::on_work_complete(TaskImpl& t) {
 
 void System::sibling_rate_changed(int node, int cpu) {
   const int sib = cluster_.node(node).cpu(cpu).sibling;
-  if (sib < 0) return;
-  auto& scs = cpu_state(node, sib);
-  if (scs.current < 0 || scs.frozen) return;
-  TaskImpl& other = *tasks_[static_cast<std::size_t>(scs.current)];
-  if (!other.on_cpu) return;
-  settle(other);
-  const double new_rate = current_rate(other);
-  if (new_rate == other.rate) return;
-  other.rate = new_rate;
-  if (other.work_left > SimDuration::zero()) reschedule_completion(other);
+  if (sib >= 0) rerate(node, sib);
+}
+
+// The execution rate of the task running on (node, cpu) may have changed
+// (HTT sibling occupancy, slow-node fault): bank progress at the old rate
+// and re-pace its completion.
+void System::rerate(int node, int cpu) {
+  auto& cs = cpu_state(node, cpu);
+  if (cs.current < 0 || cs.frozen) return;
+  TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
+  if (!t.on_cpu) return;
+  settle(t);
+  const double new_rate = current_rate(t);
+  if (new_rate == t.rate) return;
+  t.rate = new_rate;
+  if (t.work_left > SimDuration::zero()) reschedule_completion(t);
 }
 
 // --- Action interpretation ---------------------------------------------------------
@@ -712,22 +717,16 @@ void System::step_action(TaskImpl& t) {
         t.phase = 1;
         start_work(t, net_.send_cpu_cost(send->bytes));
         return;
-      case 1: {  // hand to the wire
-        const bool needs_ack = net_.is_rendezvous(send->bytes);
-        const std::uint64_t key = needs_ack ? next_ack_key_++ : 0;
-        const MsgHandle h = inject_message(t, send->dst_rank, send->bytes,
-                                           send->tag, needs_ack, key);
-        if (!needs_ack) {
+      case 1:  // hand to the wire
+        t.pending_ack_key = inject_message(t, send->dst_rank, send->bytes,
+                                           send->tag, /*nb_handle=*/-1);
+        if (t.pending_ack_key == 0) {  // eager: done at injection
           t.action.reset();
           start_next_action(t);
           return;
         }
-        ack_router_.add(key, AckTarget{t.id, /*nb_handle=*/-1, h,
-                                       send->dst_rank, send->tag});
-        t.pending_ack_key = key;
         t.phase = 2;
         [[fallthrough]];
-      }
       case 2:  // rendezvous: wait for the receiver's completion ack
         if (t.ack_arrived) {
           t.action.reset();
@@ -735,12 +734,7 @@ void System::step_action(TaskImpl& t) {
           return;
         }
         t.waiting_ack = true;
-        ensure_ack_wake(t);
-        if (t.wait_policy == WaitPolicy::kBlock) {
-          t.state = TaskImpl::State::kBlocked;
-          stop_running(t, /*keep_on_cpu=*/false);
-          dispatch(t.node, t.cpu);
-        }
+        park(t);
         return;
       default:
         assert(false);
@@ -753,34 +747,20 @@ void System::step_action(TaskImpl& t) {
         MessageRec* msg = nullptr;
         if (try_match_recv(t, recv->src_rank, recv->tag, &msg)) {
           t.phase = 1;
-          SimDuration cost = net_.recv_cpu_cost(msg->bytes);
-          if (msg->arrived_during_smm && node_htt_active(t.node)) {
-            cost = scale(cost, cfg_.post_smi_drain_factor);
-          }
-          start_work(t, cost);
+          start_copy(t, *msg);
           return;
         }
         t.waiting_msg = true;
         t.wait_src = recv->src_rank;
         t.wait_tag = recv->tag;
-        ensure_ack_wake(t);
-        if (t.wait_policy == WaitPolicy::kBlock) {
-          t.state = TaskImpl::State::kBlocked;
-          stop_running(t, /*keep_on_cpu=*/false);
-          dispatch(t.node, t.cpu);
-        }
+        park(t);
         return;
       }
-      case 1: {  // copy complete
-        assert(t.active_msg.valid());
-        const MsgHandle h = t.active_msg;
-        t.active_msg = MsgHandle{};
-        t.stats.messages_received += 1;
-        retire_copied(t, h);
+      case 1:  // copy complete
+        retire_copied(t, std::exchange(t.active_msg, MsgHandle{}));
         t.action.reset();
         start_next_action(t);
         return;
-      }
       default:
         assert(false);
     }
@@ -795,46 +775,25 @@ void System::step_action(TaskImpl& t) {
       case 1: {  // inject send, then progress the receive half
         if (!t.sr_send_injected) {
           t.sr_send_injected = true;
-          const bool needs_ack = net_.is_rendezvous(sr->send_bytes);
-          const std::uint64_t key = needs_ack ? next_ack_key_++ : 0;
-          const MsgHandle h = inject_message(t, sr->dst_rank, sr->send_bytes,
-                                             sr->send_tag, needs_ack, key);
-          if (needs_ack) {
-            ack_router_.add(key, AckTarget{t.id, /*nb_handle=*/-1, h,
-                                           sr->dst_rank, sr->send_tag});
-          }
-          t.pending_ack_key = needs_ack ? key : 0;
+          t.pending_ack_key = inject_message(t, sr->dst_rank, sr->send_bytes,
+                                             sr->send_tag, /*nb_handle=*/-1);
         }
         MessageRec* msg = nullptr;
         if (try_match_recv(t, sr->src_rank, sr->recv_tag, &msg)) {
           t.phase = 2;
-          SimDuration cost = net_.recv_cpu_cost(msg->bytes);
-          if (msg->arrived_during_smm && node_htt_active(t.node)) {
-            cost = scale(cost, cfg_.post_smi_drain_factor);
-          }
-          start_work(t, cost);
+          start_copy(t, *msg);
           return;
         }
         t.waiting_msg = true;
         t.wait_src = sr->src_rank;
         t.wait_tag = sr->recv_tag;
-        ensure_ack_wake(t);
-        if (t.wait_policy == WaitPolicy::kBlock) {
-          t.state = TaskImpl::State::kBlocked;
-          stop_running(t, /*keep_on_cpu=*/false);
-          dispatch(t.node, t.cpu);
-        }
+        park(t);
         return;
       }
-      case 2: {  // recv copy complete
-        assert(t.active_msg.valid());
-        const MsgHandle h = t.active_msg;
-        t.active_msg = MsgHandle{};
-        t.stats.messages_received += 1;
-        retire_copied(t, h);
+      case 2:  // recv copy complete
+        retire_copied(t, std::exchange(t.active_msg, MsgHandle{}));
         t.phase = 3;
         [[fallthrough]];
-      }
       case 3:  // wait for our own send's ack, if rendezvous
         if (t.pending_ack_key == 0 || t.ack_arrived) {
           t.action.reset();
@@ -842,12 +801,7 @@ void System::step_action(TaskImpl& t) {
           return;
         }
         t.waiting_ack = true;
-        ensure_ack_wake(t);
-        if (t.wait_policy == WaitPolicy::kBlock) {
-          t.state = TaskImpl::State::kBlocked;
-          stop_running(t, /*keep_on_cpu=*/false);
-          dispatch(t.node, t.cpu);
-        }
+        park(t);
         return;
       default:
         assert(false);
@@ -864,17 +818,9 @@ void System::step_action(TaskImpl& t) {
         NbHandleTable::Entry& entry = t.nbs().table.open_slot(isend->handle,
                                                               /*is_send=*/true);
         entry.peer = isend->dst_rank;
-        const bool needs_ack = net_.is_rendezvous(isend->bytes);
-        const std::uint64_t key = needs_ack ? next_ack_key_++ : 0;
-        const MsgHandle h = inject_message(t, isend->dst_rank, isend->bytes,
-                                           isend->tag, needs_ack, key);
-        if (needs_ack) {
-          entry.ack_key = key;
-          ack_router_.add(key, AckTarget{t.id, isend->handle, h,
-                                         isend->dst_rank, isend->tag});
-        } else {
-          entry.complete = true;  // eager: locally complete at injection
-        }
+        entry.ack_key = inject_message(t, isend->dst_rank, isend->bytes,
+                                       isend->tag, isend->handle);
+        entry.complete = entry.ack_key == 0;  // eager: complete at injection
         t.action.reset();
         start_next_action(t);
         return;
@@ -908,7 +854,8 @@ void System::step_action(TaskImpl& t) {
 
   if (auto* wait = std::get_if<WaitAll>(&*t.action)) {
     // Not parked while actively progressing: a wake that lands during a
-    // receive copy must not re-enter this state machine (see wake_waitall).
+    // receive copy must not re-enter this state machine (arrivals and acks
+    // poll a WaitAll task only while waiting_all is set).
     t.waiting_all = false;
     TaskImpl::NbState& nb = t.nbs();
     if (!nb.wa_armed) {
@@ -938,10 +885,7 @@ void System::step_action(TaskImpl& t) {
       assert(entry != nullptr);
       entry->complete = true;
       --nb.wa_incomplete;
-      t.stats.messages_received += 1;
-      const MsgHandle done = entry->msg;
-      entry->msg = MsgHandle{};
-      retire_copied(t, done);
+      retire_copied(t, std::exchange(entry->msg, MsgHandle{}));
       nb.active_nb_handle = -1;
       t.phase = 0;
     }
@@ -958,12 +902,7 @@ void System::step_action(TaskImpl& t) {
       // Progress this receive now: CPU-side copy.
       nb.active_nb_handle = h;
       t.phase = 1;
-      const MessageRec& msg = pool_.ref(entry->msg);
-      SimDuration cost = net_.recv_cpu_cost(msg.bytes);
-      if (msg.arrived_during_smm && node_htt_active(t.node)) {
-        cost = scale(cost, cfg_.post_smi_drain_factor);
-      }
-      start_work(t, cost);
+      start_copy(t, pool_.ref(entry->msg));
       return;
     }
     if (nb.wa_incomplete == 0) {
@@ -975,12 +914,7 @@ void System::step_action(TaskImpl& t) {
       return;
     }
     t.waiting_all = true;
-    ensure_ack_wake(t);
-    if (t.wait_policy == WaitPolicy::kBlock) {
-      t.state = TaskImpl::State::kBlocked;
-      stop_running(t, /*keep_on_cpu=*/false);
-      dispatch(t.node, t.cpu);
-    }
+    park(t);
     return;
   }
 
@@ -1017,6 +951,27 @@ void System::step_action(TaskImpl& t) {
   assert(false && "Call actions are consumed by start_next_action");
 }
 
+// A poll found nothing to do (the waiting flags are set): arm the lazy-ack
+// wake and, under the blocking policy, give up the CPU until a wake.
+void System::park(TaskImpl& t) {
+  ensure_ack_wake(t);
+  if (t.wait_policy == WaitPolicy::kBlock) {
+    t.state = TaskImpl::State::kBlocked;
+    stop_running(t, /*keep_on_cpu=*/false);
+    dispatch(t.node, t.cpu);
+  }
+}
+
+// Charge the CPU-side copy of a matched message. A backlog that arrived
+// during SMM drains cheaper when HTT siblings are online.
+void System::start_copy(TaskImpl& t, const MessageRec& msg) {
+  SimDuration cost = net_.recv_cpu_cost(msg.bytes);
+  if (msg.arrived_during_smm && node_htt_active(t.node)) {
+    cost = scale(cost, cfg_.post_smi_drain_factor);
+  }
+  start_work(t, cost);
+}
+
 void System::finish_task(TaskImpl& t) {
   assert(!t.stats.finished);
   // A finishing task cannot be awaiting a rendezvous ack (every wait
@@ -1036,9 +991,14 @@ void System::finish_task(TaskImpl& t) {
 
 // --- Messaging -------------------------------------------------------------------
 
-MsgHandle System::inject_message(TaskImpl& sender, int dst_rank,
-                                 std::int64_t bytes, int tag, bool needs_ack,
-                                 std::uint64_t ack_key) {
+// Hand a message to the wire. A rendezvous-sized one also gets the ack
+// route that completes the send (`nb_handle` >= 0: an Isend's handle).
+// Returns the ack key, or 0 for an eager message.
+std::uint64_t System::inject_message(TaskImpl& sender, int dst_rank,
+                                     std::int64_t bytes, int tag,
+                                     int nb_handle) {
+  const bool needs_ack = net_.is_rendezvous(bytes);
+  const std::uint64_t ack_key = needs_ack ? next_ack_key_++ : 0;
   const auto& members = groups_.at(static_cast<std::size_t>(sender.group.value));
   assert(dst_rank >= 0 && dst_rank < static_cast<int>(members.size()));
   const TaskId dst_id = members[static_cast<std::size_t>(dst_rank)];
@@ -1072,11 +1032,14 @@ MsgHandle System::inject_message(TaskImpl& sender, int dst_rank,
     // it later.
     engine_.schedule_after(net_.intra_transfer(bytes),
                            [this, h] { on_message_arrival(h); });
-    return h;
+  } else {
+    inter_node_bytes_ += bytes;
+    nic_submit(sender.node, /*egress=*/true, h);
   }
-  inter_node_bytes_ += bytes;
-  nic_submit(sender.node, /*egress=*/true, h);
-  return h;
+  if (needs_ack) {
+    ack_router_.add(ack_key, AckTarget{sender.id, nb_handle, h, dst_rank, tag});
+  }
+  return ack_key;
 }
 
 // --- NIC servers ---------------------------------------------------------------
@@ -1219,62 +1182,70 @@ void System::fail_message(MsgHandle h) {
   pool_.release(h);
 }
 
-// Ingress bookings whose service already ended are in propagation flight,
-// which no pause stops: each leaves with an armed arrival event (the front
-// already has its merged event). Ties (end == now, event not yet fired)
-// stay with the server and pay the stall, like a pause that beats the
-// service-end. The front keeps its unserved time, at least 1 ns.
-void System::nic_pause(int node, bool egress) {
-  NicServer& server = nic(node, egress);
-  if (++server.pause_depth > 1) return;  // already stopped by another cause
-  server.paused_at = now();
-  while (!server.fifo.empty() && server.fifo.front().end < now()) {
-    NicServer::Booking& e = server.fifo.front();
-    if (!e.ev.valid()) {
-      e.ev = engine_.schedule_at(e.end + net_.latency(),
-                                 [this, node, h = e.h] { nic_arrival(node, h); });
+// Stop both directions of the node's NIC, egress first. Ingress bookings
+// whose service already ended are in propagation flight, which no pause
+// stops: each leaves with an armed arrival event (the front already has its
+// merged event). Ties (end == now, event not yet fired) stay with the
+// server and pay the stall, like a pause that beats the service-end. The
+// front keeps its unserved time, at least 1 ns.
+void System::nic_pause(int node) {
+  for (const bool egress : {true, false}) {
+    NicServer& server = nic(node, egress);
+    if (++server.pause_depth > 1) continue;  // already stopped by another cause
+    server.paused_at = now();
+    while (!server.fifo.empty() && server.fifo.front().end < now()) {
+      NicServer::Booking& e = server.fifo.front();
+      if (!e.ev.valid()) {
+        e.ev = engine_.schedule_at(
+            e.end + net_.latency(), [this, node, h = e.h] { nic_arrival(node, h); });
+      }
+      server.fifo.pop_front();  // its arrival event now owns the delivery
     }
-    server.fifo.pop_front();  // its arrival event now owns the delivery
+    if (server.fifo.empty()) continue;
+    NicServer::Booking& front = server.fifo.front();
+    engine_.cancel(front.ev);
+    front.ev = EventId{};
+    server.remaining = std::max(SimDuration{1}, front.end - now());
+    server.front_in_service = true;
   }
-  if (server.fifo.empty()) return;
-  NicServer::Booking& front = server.fifo.front();
-  engine_.cancel(front.ev);
-  front.ev = EventId{};
-  server.remaining = std::max(SimDuration{1}, front.end - now());
-  server.front_in_service = true;
 }
 
-// Re-book the whole FIFO contiguously from now and arm the front. A front
-// that was mid-service at the pause resumes with its unserved time plus the
-// recovery draw; anything submitted while paused gets its full wire time.
-void System::nic_resume(int node, bool egress) {
-  NicServer& server = nic(node, egress);
-  assert(server.paused());
-  if (--server.pause_depth > 0) return;  // another cause still holds it
-  SimTime cursor = now();
-  for (NicServer::Booking& e : server.fifo) {
-    SimDuration service = pool_.ref(e.h).xmit;
-    if (server.front_in_service) {  // the front, first pass only
-      server.front_in_service = false;
-      service = server.remaining;
-      // TCP loss recovery after the stall: retransmission plus congestion-
-      // window rebuild, proportional to how long the host was frozen.
-      double recovery = net_.params().tcp_recovery_scale;
-      if (recovery > 0.0 && node_htt_active(node)) {
-        recovery *= cfg_.htt_nic_recovery_factor;
+// Release one pause cause on both directions, egress first. A direction
+// whose last cause cleared re-books its whole FIFO contiguously from now
+// and arms the front. A front that was mid-service at the pause resumes
+// with its unserved time plus the recovery draw; anything submitted while
+// paused gets its full wire time.
+void System::nic_resume(int node) {
+  for (const bool egress : {true, false}) {
+    NicServer& server = nic(node, egress);
+    assert(server.paused());
+    if (--server.pause_depth > 0) continue;  // another cause still holds it
+    SimTime cursor = now();
+    for (NicServer::Booking& e : server.fifo) {
+      SimDuration service = pool_.ref(e.h).xmit;
+      if (server.front_in_service) {  // the front, first pass only
+        server.front_in_service = false;
+        service = server.remaining;
+        // TCP loss recovery after the stall: retransmission plus congestion-
+        // window rebuild, proportional to how long the host was frozen.
+        double recovery = net_.params().tcp_recovery_scale;
+        if (recovery > 0.0 && node_htt_active(node)) {
+          recovery *= cfg_.htt_nic_recovery_factor;
+        }
+        if (recovery > 0.0) {
+          const SimDuration stall = now() - server.paused_at;
+          service += nic_rng_.uniform_duration(
+              SimDuration::zero(),
+              std::max(SimDuration{1}, scale(stall, recovery)));
+        }
       }
-      if (recovery > 0.0) {
-        const SimDuration stall = now() - server.paused_at;
-        service += nic_rng_.uniform_duration(
-            SimDuration::zero(), std::max(SimDuration{1}, scale(stall, recovery)));
-      }
+      e.start = cursor;
+      e.end = cursor + service;
+      cursor = e.end;
     }
-    e.start = cursor;
-    e.end = cursor + service;
-    cursor = e.end;
+    server.busy_until = cursor;
+    if (!server.fifo.empty()) nic_arm(node, egress, server);
   }
-  server.busy_until = cursor;
-  if (!server.fifo.empty()) nic_arm(node, egress, server);
 }
 
 void System::on_message_arrival(MsgHandle h) {
@@ -1302,7 +1273,7 @@ void System::on_message_arrival(MsgHandle h) {
   // Posted nonblocking receives match first (MPI posted-queue semantics);
   // only unmatched arrivals enter the unexpected queue.
   if (match_posted_irecv(dst, h)) {
-    wake_waitall(dst);
+    if (dst.waiting_all) poll_waiter(dst);
     return;
   }
   dst.unexpected.push(pool_, h);
@@ -1310,16 +1281,7 @@ void System::on_message_arrival(MsgHandle h) {
   if (!dst.waiting_msg) return;
   if (msg.tag != dst.wait_tag) return;
   if (dst.wait_src != kAnySource && msg.src_rank != dst.wait_src) return;
-
-  if (dst.on_cpu) {
-    if (!cpu_state(dst.node, dst.cpu).frozen) {
-      step_action(dst);  // spin-waiter picks it up immediately
-    }
-    // else: the post-SMM resume re-polls.
-  } else if (dst.state == TaskImpl::State::kBlocked) {
-    make_ready(dst);
-  }
-  // else: queued (preempted while spinning); re-polled at dispatch.
+  poll_waiter(dst);
 }
 
 bool System::try_match_recv(TaskImpl& t, int src_rank, int tag,
@@ -1332,11 +1294,13 @@ bool System::try_match_recv(TaskImpl& t, int src_rank, int tag,
   return true;
 }
 
-// A matched message's CPU-side copy finished: send the rendezvous ack if one
-// is owed, then recycle the record — immediately for eager messages, or at
-// the ack's completion for rendezvous ones (kConsumed holds the routing
-// fields the ack path still reads).
-void System::retire_copied(TaskImpl& /*receiver*/, MsgHandle h) {
+// A matched message's CPU-side copy finished: count the receive, send the
+// rendezvous ack if one is owed, then recycle the record — immediately for
+// eager messages, or at the ack's completion for rendezvous ones
+// (kConsumed holds the routing fields the ack path still reads).
+void System::retire_copied(TaskImpl& receiver, MsgHandle h) {
+  assert(h.valid());
+  receiver.stats.messages_received += 1;
   MessageRec& msg = pool_.ref(h);
   if (msg.needs_ack) {
     deliver_ack(msg);
@@ -1370,15 +1334,15 @@ bool System::match_posted_irecv(TaskImpl& t, MsgHandle h) {
   return true;
 }
 
-void System::wake_waitall(TaskImpl& t) {
-  if (!t.waiting_all) return;
+// A parked task's wait may be satisfied: a spinner on a running CPU re-polls
+// now (a frozen one re-polls at its thaw), a blocked one is made ready, and
+// a queued one (preempted while spinning) re-polls at dispatch.
+void System::poll_waiter(TaskImpl& t) {
   if (t.on_cpu) {
     if (!cpu_state(t.node, t.cpu).frozen) step_action(t);
-    // else: the post-SMM resume re-polls.
   } else if (t.state == TaskImpl::State::kBlocked) {
     make_ready(t);
   }
-  // else: queued; re-polled at dispatch.
 }
 
 void System::deliver_ack(const MessageRec& msg) {
@@ -1400,11 +1364,9 @@ void System::deliver_ack(const MessageRec& msg) {
       return;
     }
   }
-  engine_.schedule_after(wire, [this, key = msg.ack_key] { on_ack(key); });
-}
-
-void System::on_ack(std::uint64_t ack_key) {
-  apply_ack(ack_key, /*allow_wake=*/true);
+  engine_.schedule_after(wire, [this, key = msg.ack_key] {
+    apply_ack(key, /*allow_wake=*/true);
+  });
 }
 
 // The ack's effects. `allow_wake` is false when the owning sender is being
@@ -1435,7 +1397,7 @@ void System::apply_ack(std::uint64_t ack_key, bool allow_wake) {
         --t.nbs_->wa_incomplete;
       }
     }
-    if (allow_wake) wake_waitall(t);
+    if (allow_wake && t.waiting_all) poll_waiter(t);
     return;
   }
   if (t.state == TaskImpl::State::kDone) return;
@@ -1445,11 +1407,7 @@ void System::apply_ack(std::uint64_t ack_key, bool allow_wake) {
   if (!t.waiting_ack) return;  // arrived before the task started waiting
   t.waiting_ack = false;
   if (!allow_wake) return;  // the ongoing poll continues from the flag
-  if (t.on_cpu) {
-    if (!cpu_state(t.node, t.cpu).frozen) step_action(t);
-  } else if (t.state == TaskImpl::State::kBlocked) {
-    make_ready(t);
-  }
+  poll_waiter(t);
 }
 
 // --- Lazy ack maturation (transport fast path) -------------------------------
@@ -1534,32 +1492,91 @@ bool System::node_htt_active(int node) const {
   return false;
 }
 
+// --- Freeze and thaw ---------------------------------------------------------
+//
+// Three causes stop CPUs: SMM (whole node), an injected fault freeze (whole
+// node) and OS-noise preemption (one CPU). They compose: a CPU stays frozen
+// until the last cause releases it, and only an SMM exit charges the
+// interrupted tasks.
+
+// Stop one CPU: its timeslice is cancelled and the current task's progress
+// is banked, with its completion cancelled, until thaw_cpu.
+void System::freeze_cpu(int node, int cpu) {
+  auto& cs = cpu_state(node, cpu);
+  cs.frozen = true;
+  engine_.cancel(cs.quantum_ev);
+  cs.quantum_ev = EventId{};
+  if (cs.current >= 0) {
+    stop_running(*tasks_[static_cast<std::size_t>(cs.current)],
+                 /*keep_on_cpu=*/true);
+  }
+}
+
+// Restart a frozen CPU: the current task resumes from now and gets back the
+// timeslice the freeze cancelled (a spinning waiter must not starve an
+// oversubscribed CPU's queue).
+void System::thaw_cpu(int node, int cpu) {
+  auto& cs = cpu_state(node, cpu);
+  cs.frozen = false;
+  if (cs.current >= 0) {
+    begin_running(*tasks_[static_cast<std::size_t>(cs.current)]);
+    arm_quantum(node, cpu);
+  }
+}
+
+// Stop a whole node: both NIC directions (TCP stalls with the host) and
+// every online CPU not already stopped by another cause.
+void System::freeze_node(int node) {
+  nic_pause(node);
+  const Node& topo = cluster_.node(node);
+  for (int i = 0; i < topo.cpu_count(); ++i) {
+    if (topo.is_online(i) && !cpu_state(node, i).frozen) freeze_cpu(node, i);
+  }
+}
+
+/// What an SMM exit charges each task it interrupted.
+struct System::SmmCharge {
+  SimDuration frozen_for;  ///< the SMM residency
+  SimDuration refill;      ///< residency that counts toward cache refill
+};
+
+// Restart every online CPU of a node whose last freeze cause cleared (its
+// NICs are resumed by the caller). On an SMM exit (`smm` non-null) each
+// interrupted task is charged first: the OS never saw the freeze, so it
+// keeps charging the task, and its caches refill. Timer wakes deferred by
+// the freeze are serviced next, then idle CPUs dispatch.
+void System::thaw_node(int node, const SmmCharge* smm) {
+  auto& ns = *node_state_.at(static_cast<std::size_t>(node));
+  const Node& topo = cluster_.node(node);
+  for (int i = 0; i < topo.cpu_count(); ++i) {
+    if (!topo.is_online(i)) continue;
+    const std::int32_t current = ns.cpus[static_cast<std::size_t>(i)].current;
+    if (smm != nullptr && current >= 0) {
+      TaskImpl& t = *tasks_[static_cast<std::size_t>(current)];
+      t.stats.os_view_cpu_time += smm->frozen_for;
+      t.stats.smm_stolen_time += smm->frozen_for;
+      t.stats.smm_hits += 1;
+      apply_refill(t, refill_rng_, smm->refill);
+    }
+    thaw_cpu(node, i);
+  }
+  const std::vector<std::int32_t> wakes = std::move(ns.deferred_wakes);
+  ns.deferred_wakes.clear();
+  for (const std::int32_t idx : wakes) {
+    TaskImpl& t = *tasks_[static_cast<std::size_t>(idx)];
+    if (t.state == TaskImpl::State::kSleeping) make_ready(t);
+  }
+  for (int i = 0; i < topo.cpu_count(); ++i) {
+    if (topo.is_online(i)) dispatch(node, i);
+  }
+}
+
 void System::smm_enter(int node) {
   auto& ns = *node_state_.at(static_cast<std::size_t>(node));
   assert(!ns.in_smm && "nested SMM entry");
   ns.in_smm = true;
   ns.freeze_start = now();
-  // TCP stalls with the host: neither direction of the NIC makes progress.
-  nic_pause(node, /*egress=*/true);
-  nic_pause(node, /*egress=*/false);
-  const Node& topo = cluster_.node(node);
-  for (int i = 0; i < topo.cpu_count(); ++i) {
-    if (!topo.is_online(i)) continue;
-    auto& cs = ns.cpus[static_cast<std::size_t>(i)];
-    if (cs.frozen) continue;  // already stopped by a single-CPU preemption
-    cs.frozen = true;
-    if (cs.quantum_ev.valid()) {
-      engine_.cancel(cs.quantum_ev);
-      cs.quantum_ev = EventId{};
-    }
-    if (cs.current >= 0) {
-      TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
-      settle(t);
-      ++t.epoch;  // invalidate any scheduled completion
-      engine_.cancel(t.completion_ev);
-      t.completion_ev = EventId{};
-    }
-  }
+  freeze_node(node);
 }
 
 void System::smm_exit(int node, const SmmInterval& interval) {
@@ -1567,8 +1584,7 @@ void System::smm_exit(int node, const SmmInterval& interval) {
   assert(ns.in_smm);
   ns.in_smm = false;
   smm_acct_.record(interval);
-  nic_resume(node, /*egress=*/true);
-  nic_resume(node, /*egress=*/false);
+  nic_resume(node);
   if (ns.fault_frozen || ns.crashed) {
     // An injected fault stall outlasts the SMI (or the node died inside
     // it): keep the CPUs down — fault_freeze_exit resumes them. The hung
@@ -1591,66 +1607,22 @@ void System::smm_exit(int node, const SmmInterval& interval) {
     return f * f;
   }();
   ns.last_smm_exit = now();
-  const SimDuration effective_residency = scale(frozen_for, warm_fraction);
-  const Node& topo = cluster_.node(node);
-  for (int i = 0; i < topo.cpu_count(); ++i) {
-    if (!topo.is_online(i)) continue;
-    auto& cs = ns.cpus[static_cast<std::size_t>(i)];
-    cs.frozen = false;
-    if (cs.current >= 0) {
-      TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
-      // The OS never saw the freeze: it keeps charging the task.
-      t.stats.os_view_cpu_time += frozen_for;
-      t.stats.smm_stolen_time += frozen_for;
-      t.stats.smm_hits += 1;
-      apply_refill(t, refill_rng_, effective_residency);
-      begin_running(t);
-      // The freeze cancelled the preemption timer; restore timeslicing for
-      // oversubscribed CPUs (a spinning waiter must not starve its queue).
-      arm_quantum(node, i);
-    }
-  }
-  // Timer wake-ups that fired during the freeze are serviced now.
-  const std::vector<std::int32_t> wakes = std::move(ns.deferred_wakes);
-  ns.deferred_wakes.clear();
-  for (const std::int32_t idx : wakes) {
-    TaskImpl& t = *tasks_[static_cast<std::size_t>(idx)];
-    if (t.state == TaskImpl::State::kSleeping) make_ready(t);
-  }
-  for (int i = 0; i < topo.cpu_count(); ++i) {
-    if (topo.is_online(i)) dispatch(node, i);
-  }
+  const SmmCharge charge{frozen_for, scale(frozen_for, warm_fraction)};
+  thaw_node(node, &charge);
 }
 
 void System::preempt_cpu(int node, int cpu) {
   assert(!node_in_smm(node) && "use SMM entry for whole-node freezes");
-  auto& cs = cpu_state(node, cpu);
-  assert(!cs.frozen && "CPU already preempted");
-  cs.frozen = true;
-  if (cs.quantum_ev.valid()) {
-    engine_.cancel(cs.quantum_ev);
-    cs.quantum_ev = EventId{};
-  }
-  if (cs.current >= 0) {
-    TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
-    settle(t);
-    ++t.epoch;
-    engine_.cancel(t.completion_ev);
-    t.completion_ev = EventId{};
-  }
+  assert(!cpu_state(node, cpu).frozen && "CPU already preempted");
+  freeze_cpu(node, cpu);
 }
 
 void System::resume_cpu(int node, int cpu) {
   if (node_in_smm(node)) return;  // SMM superseded; its exit restores the CPU
-  auto& cs = cpu_state(node, cpu);
-  if (!cs.frozen) return;  // already restored by an SMM exit
-  cs.frozen = false;
-  if (cs.current >= 0) {
-    // OS-level noise is visible to the kernel: unlike SMM it is NOT charged
-    // to the victim task's CPU time, so no os_view adjustment here.
-    begin_running(*tasks_[static_cast<std::size_t>(cs.current)]);
-    arm_quantum(node, cpu);  // the preemption timer was cancelled at freeze
-  }
+  if (!cpu_state(node, cpu).frozen) return;  // already restored by an SMM exit
+  // OS-level noise is visible to the kernel: unlike SMM it is NOT charged
+  // to the victim task's CPU time, so no os_view adjustment here.
+  thaw_cpu(node, cpu);
   dispatch(node, cpu);
 }
 
@@ -1723,27 +1695,7 @@ void System::fault_freeze_enter(int node) {
   assert(!ns.fault_frozen && "nested fault freeze");
   ns.fault_frozen = true;
   fault_log_.push_back({FaultRecord::Kind::kFreeze, node, now(), SimTime{-1}});
-  nic_pause(node, /*egress=*/true);
-  nic_pause(node, /*egress=*/false);
-  if (ns.in_smm) return;  // CPUs already down; the freeze merely outlasts SMM
-  const Node& topo = cluster_.node(node);
-  for (int i = 0; i < topo.cpu_count(); ++i) {
-    if (!topo.is_online(i)) continue;
-    auto& cs = ns.cpus[static_cast<std::size_t>(i)];
-    if (cs.frozen) continue;  // already stopped by a single-CPU preemption
-    cs.frozen = true;
-    if (cs.quantum_ev.valid()) {
-      engine_.cancel(cs.quantum_ev);
-      cs.quantum_ev = EventId{};
-    }
-    if (cs.current >= 0) {
-      TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
-      settle(t);
-      ++t.epoch;
-      engine_.cancel(t.completion_ev);
-      t.completion_ev = EventId{};
-    }
-  }
+  freeze_node(node);  // inside SMM the CPUs are already down
 }
 
 void System::fault_freeze_exit(int node) {
@@ -1752,30 +1704,11 @@ void System::fault_freeze_exit(int node) {
   assert(ns.fault_frozen);
   ns.fault_frozen = false;
   close_fault_record(FaultRecord::Kind::kFreeze, node);
-  nic_resume(node, /*egress=*/true);
-  nic_resume(node, /*egress=*/false);
+  nic_resume(node);
   if (ns.in_smm) return;  // SMM still holds the node; its exit resumes CPUs
   // Unlike smm_exit there is no refill penalty and no OS-view charge: a
   // hang stops the kernel's clocks along with everything else.
-  const Node& topo = cluster_.node(node);
-  for (int i = 0; i < topo.cpu_count(); ++i) {
-    if (!topo.is_online(i)) continue;
-    auto& cs = ns.cpus[static_cast<std::size_t>(i)];
-    cs.frozen = false;
-    if (cs.current >= 0) {
-      begin_running(*tasks_[static_cast<std::size_t>(cs.current)]);
-      arm_quantum(node, i);
-    }
-  }
-  const std::vector<std::int32_t> wakes = std::move(ns.deferred_wakes);
-  ns.deferred_wakes.clear();
-  for (const std::int32_t idx : wakes) {
-    TaskImpl& t = *tasks_[static_cast<std::size_t>(idx)];
-    if (t.state == TaskImpl::State::kSleeping) make_ready(t);
-  }
-  for (int i = 0; i < topo.cpu_count(); ++i) {
-    if (topo.is_online(i)) dispatch(node, i);
-  }
+  thaw_node(node, nullptr);
 }
 
 void System::kill_task(TaskImpl& t) {
@@ -1786,10 +1719,8 @@ void System::kill_task(TaskImpl& t) {
     assert(cs.current == t.id.value);
     cs.current = -1;
     t.on_cpu = false;
-    if (cs.quantum_ev.valid()) {
-      engine_.cancel(cs.quantum_ev);
-      cs.quantum_ev = EventId{};
-    }
+    engine_.cancel(cs.quantum_ev);
+    cs.quantum_ev = EventId{};
   }
   if (t.queued) {
     auto& q = cs.runqueue;
@@ -1860,8 +1791,7 @@ void System::crash_node(int node) {
   }
   fault_log_.push_back({FaultRecord::Kind::kCrash, node, now(), now()});
   // The NICs go silent forever; traffic parked at them is undeliverable.
-  nic_pause(node, /*egress=*/true);
-  nic_pause(node, /*egress=*/false);
+  nic_pause(node);
   for (NicServer* server : {&ns.egress, &ns.ingress}) {
     for (const NicServer::Booking& e : server->fifo) fail_message(e.h);
     server->fifo.clear();
@@ -1891,16 +1821,7 @@ void System::set_node_fault_rate(int node, double scale) {
   // Re-pace everything currently executing on the node.
   const Node& topo = cluster_.node(node);
   for (int i = 0; i < topo.cpu_count(); ++i) {
-    if (!topo.is_online(i)) continue;
-    auto& cs = cpu_state(node, i);
-    if (cs.frozen || cs.current < 0) continue;
-    TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
-    if (!t.on_cpu) continue;
-    settle(t);
-    const double new_rate = current_rate(t);
-    if (new_rate == t.rate) continue;
-    t.rate = new_rate;
-    if (t.work_left > SimDuration::zero()) reschedule_completion(t);
+    if (topo.is_online(i)) rerate(node, i);
   }
 }
 
@@ -1909,12 +1830,10 @@ void System::set_link_down(int node, bool down) {
   if (down) {
     fault_log_.push_back(
         {FaultRecord::Kind::kLinkDown, node, now(), SimTime{-1}});
-    nic_pause(node, /*egress=*/true);
-    nic_pause(node, /*egress=*/false);
+    nic_pause(node);
   } else {
     close_fault_record(FaultRecord::Kind::kLinkDown, node);
-    nic_resume(node, /*egress=*/true);
-    nic_resume(node, /*egress=*/false);
+    nic_resume(node);
   }
 }
 

@@ -252,10 +252,11 @@ class System {
   /// Enable/disable the transport fast path: lazily matured rendezvous
   /// acks (delivery piggybacks on the sender's next poll instead of a
   /// dedicated event). It self-disables while a link fault model is armed.
-  /// Lazy acks are NOT bit-exact on every program: an 8-rank FT (2 nodes x
-  /// 4 ranks) ends slightly earlier with them than without (DESIGN.md §11),
-  /// though the equality tests' ring, same-node and fault-plan scenarios
-  /// hash equal. On by default; the off position exists for debugging and
+  /// Lazy acks are NOT bit-exact on every program: acks due at the same
+  /// instant apply in the order their senders parked, not the order they
+  /// were delivered, so an 8-rank FT (2 nodes x 4 ranks) runs its ranks in
+  /// a different order (DESIGN.md §11), though the equality tests' ring,
+  /// same-node and fault-plan scenarios hash equal. On by default; the off position exists for debugging and
   /// the equality tests.
   void set_transport_fast_paths(bool on) { fast_paths_ = on; }
   [[nodiscard]] bool transport_fast_paths() const { return fast_paths_; }
@@ -376,25 +377,27 @@ class System {
   void reschedule_completion(TaskImpl& t);
   void on_work_complete(TaskImpl& t);
   void sibling_rate_changed(int node, int cpu);
+  void rerate(int node, int cpu);
   [[nodiscard]] bool sibling_busy(const TaskImpl& t) const;
 
   // Action interpretation.
   void start_next_action(TaskImpl& t);
   void step_action(TaskImpl& t);
   void start_work(TaskImpl& t, SimDuration amount);
+  void park(TaskImpl& t);
+  void start_copy(TaskImpl& t, const MessageRec& msg);
   void finish_task(TaskImpl& t);
 
   // Messaging. Records live in pool_ and are addressed by generation-checked
   // MsgHandles; see sim/transport.h for the lifecycle and recycle policy.
-  MsgHandle inject_message(TaskImpl& sender, int dst_rank, std::int64_t bytes,
-                           int tag, bool needs_ack, std::uint64_t ack_key);
+  std::uint64_t inject_message(TaskImpl& sender, int dst_rank,
+                               std::int64_t bytes, int tag, int nb_handle);
   void on_message_arrival(MsgHandle h);
   bool try_match_recv(TaskImpl& t, int src_rank, int tag, MessageRec** out);
   void retire_copied(TaskImpl& receiver, MsgHandle h);
   void deliver_ack(const MessageRec& msg);
-  void on_ack(std::uint64_t ack_key);
   bool match_posted_irecv(TaskImpl& t, MsgHandle h);
-  void wake_waitall(TaskImpl& t);
+  void poll_waiter(TaskImpl& t);
 
   // WaitAll progress-counter helpers (TaskImpl::wa_* state).
   static void wa_mark_ready(TaskImpl& t, int pos);
@@ -415,13 +418,18 @@ class System {
   struct NicServer;
   NicServer& nic(int node, bool egress);
   void nic_submit(int node, bool egress, MsgHandle h);
-  void nic_pause(int node, bool egress);
-  void nic_resume(int node, bool egress);
+  void nic_pause(int node);   // both directions
+  void nic_resume(int node);  // both directions
   void nic_arm(int node, bool egress, NicServer& server);
   void nic_handoff(int node, MsgHandle h);
   void nic_arrival(int node, MsgHandle h);
 
-  // SMM helpers.
+  // Freeze and thaw (SMM, fault freezes, OS-noise preemption).
+  struct SmmCharge;
+  void freeze_cpu(int node, int cpu);
+  void thaw_cpu(int node, int cpu);
+  void freeze_node(int node);
+  void thaw_node(int node, const SmmCharge* smm);
   void apply_refill(TaskImpl& t, Rng& rng, SimDuration frozen_for);
 
   // Fault and diagnosis helpers.

@@ -126,6 +126,21 @@ TEST(CliTest, NasRejectsInvalidRankCount) {
   EXPECT_NE(err.find("square"), std::string::npos);
 }
 
+TEST(CliTest, NasRejectsRetainedFlag) {
+  // NAS cells always stream their rank programs; there is no residency
+  // switch, so --retained is an unknown flag like any other.
+  std::string out, err;
+  const int rc = run({"nas", "--workload=ep", "--class=A", "--nodes=2",
+                      "--retained"},
+                     &out, &err);
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(err.find("unknown flag(s): --retained"), std::string::npos);
+  EXPECT_EQ(out.find("NAS EP"), std::string::npos);
+  std::string usage;
+  EXPECT_EQ(run({"help"}, &usage), 0);
+  EXPECT_EQ(usage.find("--retained"), std::string::npos);
+}
+
 TEST(CliTest, ConvolveCommandRuns) {
   std::string out;
   const int rc =

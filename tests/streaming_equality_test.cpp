@@ -1,9 +1,9 @@
 // Streaming/retained equality suite: streaming action sources
 // (mpi/streaming.h, mpi/job.h run_mpi_job_streaming) are a pure memory
-// change. Every scenario here runs twice — retained (the bit-pinned
-// historical path, covered by the golden hashes elsewhere) and streaming —
-// and asserts the full observable trace hashes are EQUAL, extending those
-// pins to the streaming path. One golden pins small_ft() on the default
+// change. Every scenario here runs twice — streamed, the only way NAS cells
+// run, and retained: the whole programs build_nas_trace materializes, run
+// through run_mpi_job (the reference) — and asserts the full observable
+// trace hashes are EQUAL. One golden pins small_ft() on the default
 // transport path.
 //
 // Alongside the equality pins: unit behaviour of ChunkedProgramSource and
@@ -87,26 +87,38 @@ System make_nas_system(const NasJobSpec& spec, const SmiConfig& smi,
 struct NasRun {
   std::uint64_t hash = 0;
   std::int64_t peak_program_actions = 0;
+  SimDuration elapsed;
 };
 
-NasRun nas_run(const NasJobSpec& spec, const NasKnob& knob, TraceMode mode,
-               const SmiConfig& smi, std::uint64_t seed) {
+/// Runs the cell from streamed sources or, with `retained`, from the whole
+/// build_nas_trace programs.
+NasRun nas_run(const NasJobSpec& spec, const NasKnob& knob,
+               const SmiConfig& smi, std::uint64_t seed, bool retained) {
   System sys = make_nas_system(spec, smi, seed);
   sys.set_online_cpus(spec.htt ? sys.config().machine.logical_cpus()
                                : sys.config().machine.cores());
   const auto placement = block_placement(spec.ranks(), spec.ranks_per_node);
   MpiJobResult result =
-      mode == TraceMode::kStreaming
-          ? run_mpi_job_streaming(sys, spec.ranks(),
-                                  make_nas_rank_sources(spec, knob), placement,
-                                  WorkloadProfile::dense_fp())
-          : run_mpi_job(sys, build_nas_trace(spec, knob), placement,
-                        WorkloadProfile::dense_fp());
+      retained ? run_mpi_job(sys, build_nas_trace(spec, knob), placement,
+                             WorkloadProfile::dense_fp())
+               : run_mpi_job_streaming(sys, spec.ranks(),
+                                       make_nas_rank_sources(spec, knob),
+                                       placement, WorkloadProfile::dense_fp());
   sys.validate();
   TraceHash h;
   h.mix_signed(result.elapsed.ns());
   mix_system(h, sys);
-  return NasRun{h.value(), sys.peak_program_actions()};
+  return NasRun{h.value(), sys.peak_program_actions(), result.elapsed};
+}
+
+/// Streamed and retained runs of one cell must hash equal.
+void expect_streaming_matches_retained(const NasJobSpec& spec,
+                                       const NasKnob& knob,
+                                       const SmiConfig& smi,
+                                       std::uint64_t seed) {
+  EXPECT_EQ(nas_run(spec, knob, smi, seed, /*retained=*/false).hash,
+            nas_run(spec, knob, smi, seed, /*retained=*/true).hash)
+      << "seed " << seed;
 }
 
 // A fast FT-shaped spec: real alltoall + allreduce structure at 8 ranks.
@@ -123,25 +135,15 @@ NasJobSpec small_ft(bool htt = false) {
 TEST(StreamingEqualityTest, FtStreamingMatchesRetainedUnderLongSmi) {
   const NasKnob knob{32 * 1024, 500};
   for (const std::uint64_t seed : {1ull, 9ull}) {
-    EXPECT_EQ(
-        nas_run(small_ft(), knob, TraceMode::kStreaming,
-                SmiConfig::long_every_second(), seed)
-            .hash,
-        nas_run(small_ft(), knob, TraceMode::kRetained,
-                SmiConfig::long_every_second(), seed)
-            .hash)
-        << "seed " << seed;
+    expect_streaming_matches_retained(small_ft(), knob,
+                                      SmiConfig::long_every_second(), seed);
   }
 }
 
 TEST(StreamingEqualityTest, FtStreamingMatchesRetainedUnderHtt) {
   const NasKnob knob{16 * 1024, 0};
-  EXPECT_EQ(nas_run(small_ft(/*htt=*/true), knob, TraceMode::kStreaming,
-                    SmiConfig::short_every_second(), 4)
-                .hash,
-            nas_run(small_ft(/*htt=*/true), knob, TraceMode::kRetained,
-                    SmiConfig::short_every_second(), 4)
-                .hash);
+  expect_streaming_matches_retained(small_ft(/*htt=*/true), knob,
+                                    SmiConfig::short_every_second(), 4);
 }
 
 TEST(StreamingEqualityTest, BtStreamingMatchesRetained) {
@@ -151,12 +153,8 @@ TEST(StreamingEqualityTest, BtStreamingMatchesRetained) {
   spec.nodes = 4;  // 4 ranks: square
   spec.ranks_per_node = 1;
   const NasKnob knob{8 * 1024, 0};
-  EXPECT_EQ(nas_run(spec, knob, TraceMode::kStreaming,
-                    SmiConfig::long_every_second(), 7)
-                .hash,
-            nas_run(spec, knob, TraceMode::kRetained,
-                    SmiConfig::long_every_second(), 7)
-                .hash);
+  expect_streaming_matches_retained(spec, knob, SmiConfig::long_every_second(),
+                                    7);
 }
 
 TEST(StreamingEqualityTest, EpStreamingMatchesRetained) {
@@ -166,29 +164,23 @@ TEST(StreamingEqualityTest, EpStreamingMatchesRetained) {
   spec.nodes = 4;
   spec.ranks_per_node = 2;
   const NasKnob knob{0, 0};
-  EXPECT_EQ(nas_run(spec, knob, TraceMode::kStreaming,
-                    SmiConfig::short_every_second(), 11)
-                .hash,
-            nas_run(spec, knob, TraceMode::kRetained,
-                    SmiConfig::short_every_second(), 11)
-                .hash);
+  expect_streaming_matches_retained(spec, knob, SmiConfig::short_every_second(),
+                                    11);
 }
 
-TEST(StreamingEqualityTest, SimulateNasOnceAgreesAcrossModes) {
+TEST(StreamingEqualityTest, SimulateNasOnceMatchesRetainedPrograms) {
   const NasJobSpec spec = small_ft();
   const NasKnob knob{16 * 1024, 250};
-  const double retained =
-      simulate_nas_once(spec, knob, SmiConfig::long_every_second(), 3, 0.003,
-                        TraceMode::kRetained);
+  const NasRun retained = nas_run(spec, knob, SmiConfig::long_every_second(),
+                                  3, /*retained=*/true);
   const double streaming =
-      simulate_nas_once(spec, knob, SmiConfig::long_every_second(), 3, 0.003,
-                        TraceMode::kStreaming);
-  EXPECT_EQ(retained, streaming);  // exact, not approximate
+      simulate_nas_once(spec, knob, SmiConfig::long_every_second(), 3, 0.003);
+  EXPECT_EQ(retained.elapsed.seconds(), streaming);  // exact, not approximate
 }
 
 // --- Faulted runs: try_run parity ------------------------------------------
 
-std::uint64_t faulted_hash(TraceMode mode, std::uint64_t seed) {
+std::uint64_t faulted_hash(std::uint64_t seed, bool retained) {
   const NasJobSpec spec = small_ft();
   const NasKnob knob{64 * 1024, 0};
   System sys = make_nas_system(spec, SmiConfig::long_every_second(), seed);
@@ -197,12 +189,12 @@ std::uint64_t faulted_hash(TraceMode mode, std::uint64_t seed) {
   FaultInjector injector{sys, plan};
   const auto placement = block_placement(spec.ranks(), spec.ranks_per_node);
   MpiJobRunResult out =
-      mode == TraceMode::kStreaming
-          ? try_run_mpi_job_streaming(sys, spec.ranks(),
-                                      make_nas_rank_sources(spec, knob),
-                                      placement, WorkloadProfile::dense_fp())
-          : try_run_mpi_job(sys, build_nas_trace(spec, knob), placement,
-                            WorkloadProfile::dense_fp());
+      retained ? try_run_mpi_job(sys, build_nas_trace(spec, knob), placement,
+                                 WorkloadProfile::dense_fp())
+               : try_run_mpi_job_streaming(sys, spec.ranks(),
+                                           make_nas_rank_sources(spec, knob),
+                                           placement,
+                                           WorkloadProfile::dense_fp());
   TraceHash h;
   h.mix(static_cast<std::uint64_t>(out.run.status));
   h.mix_signed(out.run.peak_program_actions > 0 ? 1 : 0);
@@ -210,10 +202,10 @@ std::uint64_t faulted_hash(TraceMode mode, std::uint64_t seed) {
   return h.value();
 }
 
-TEST(StreamingEqualityTest, FaultedRunsMatchAcrossModes) {
+TEST(StreamingEqualityTest, FaultedStreamingMatchesRetained) {
   for (const std::uint64_t seed : {7ull, 23ull}) {
-    EXPECT_EQ(faulted_hash(TraceMode::kStreaming, seed),
-              faulted_hash(TraceMode::kRetained, seed))
+    EXPECT_EQ(faulted_hash(seed, /*retained=*/false),
+              faulted_hash(seed, /*retained=*/true))
         << "seed " << seed;
   }
 }
@@ -223,10 +215,10 @@ TEST(StreamingEqualityTest, FaultedRunsMatchAcrossModes) {
 TEST(StreamingEqualityTest, StreamingPeakIsFractionOfRetained) {
   const NasJobSpec spec = small_ft();
   const NasKnob knob{16 * 1024, 0};
-  const NasRun retained = nas_run(spec, knob, TraceMode::kRetained,
-                                  SmiConfig::none(), 1);
-  const NasRun streaming = nas_run(spec, knob, TraceMode::kStreaming,
-                                   SmiConfig::none(), 1);
+  const NasRun retained =
+      nas_run(spec, knob, SmiConfig::none(), 1, /*retained=*/true);
+  const NasRun streaming =
+      nas_run(spec, knob, SmiConfig::none(), 1, /*retained=*/false);
   EXPECT_EQ(retained.hash, streaming.hash);
 
   // Retained: the whole job is materialized at spawn. FT A at 8 ranks has
@@ -384,7 +376,7 @@ constexpr std::uint64_t kSmallFtDefaultPathHash = 12002788701661138098ull;
 
 TEST(StreamingEqualityTest, SmallFtDefaultPathGoldenPinned) {
   const NasRun run = nas_run(small_ft(), NasKnob{256 * 1024, 0},
-                             TraceMode::kStreaming, SmiConfig::none(), 7);
+                             SmiConfig::none(), 7, /*retained=*/false);
   EXPECT_EQ(run.hash, kSmallFtDefaultPathHash);
 }
 
