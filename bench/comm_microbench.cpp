@@ -18,22 +18,23 @@
 //                       NIC FIFO (batched interval booking, one armed
 //                       event per server direction).
 //
-// The storm shape is also measured with lazy ack maturation disabled
-// (System::set_transport_fast_paths(false)), so the JSON artifact records
-// the lazy-vs-eager ack delta on the same machine. The two simulate the
-// same traffic but are not bit-identical on every program: lazy ack
-// maturation can shift completion instants (DESIGN.md §11). The burst
-// shape is eager, so the toggle would not change the code it runs.
+// The storm shape is also measured with eager acks (one dedicated event per
+// ack), selected by arming a link fault model that never drops or
+// duplicates, so the JSON artifact records the lazy-vs-eager ack delta on
+// the same machine. The two simulate the same traffic but are not
+// bit-identical on every program: lazy ack maturation can shift
+// completion instants (DESIGN.md §11). Everything else runs the default
+// path; ping-pong, flood and burst messages are eager-sized and send no acks.
 //
 // A small grid re-profile rides along: a sweep of independent storm cells
 // timed at --jobs=1 and at hardware concurrency, recording cells/s for both
 // so the grid-level parallel speedup is tracked next to the per-cell rates.
 //
-// Always writes BENCH_comm_microbench.json with messages/s headline numbers,
-// the pool's bounded-memory evidence, and the CI floor values the perf-smoke
-// job gates on.
+// Always writes BENCH_comm_microbench.json with messages/s headline numbers
+// and the pool's bounded-memory evidence. The CI floors for these rates
+// live in bench/ci_floors.json (scripts/check_bench_floors.py).
 //
-// Usage: comm_microbench [--quick] [--classic]  (--classic: lazy acks off)
+// Usage: comm_microbench [--quick]
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -48,13 +49,14 @@ namespace {
 
 using namespace smilab;
 
-// Floors for the CI perf-smoke gate, recorded in the JSON artifact. Local
-// Release rates are ~2M (flood), ~1.4M (storm), ~2M (burst) msgs/s; the
-// floors sit far below so only a reversion to quadratic matching or a
-// gross regression trips them on slow shared runners.
-constexpr double kFloodFloor = 400'000.0;
-constexpr double kAckStormFloor = 500'000.0;
-constexpr double kEgressBurstFloor = 600'000.0;
+/// Armed but inert: never drops, never duplicates. Arming any link fault
+/// model makes the transport deliver every rendezvous ack by a dedicated
+/// event, which is the eager reference the storm is compared against.
+class NoFaults final : public LinkFaultModel {
+ public:
+  bool should_drop(int, int) override { return false; }
+  bool should_duplicate(int, int) override { return false; }
+};
 
 SystemConfig base_cfg(int nodes) {
   SystemConfig cfg;
@@ -71,11 +73,10 @@ struct Rate {
 };
 
 /// Eager ping-pong between two ranks on distinct nodes.
-Rate measure_ping_pong(int round_trips, bool fast_paths) {
+Rate measure_ping_pong(int round_trips) {
   ActionArena arena;
   ActionArena::Scope scope{arena};
   System sys{base_cfg(2)};
-  sys.set_transport_fast_paths(fast_paths);
   const GroupId g = sys.create_group(2);
   std::vector<Action> a, b;
   for (int i = 0; i < round_trips; ++i) {
@@ -97,11 +98,10 @@ Rate measure_ping_pong(int round_trips, bool fast_paths) {
 /// Deep unexpected queue drained out of order: `tags` eager messages with
 /// distinct tags pile up while the receiver computes, then are received in
 /// reverse tag order; repeated for `rounds`.
-Rate measure_unexpected_flood(int tags, int rounds, bool fast_paths) {
+Rate measure_unexpected_flood(int tags, int rounds) {
   ActionArena arena;
   ActionArena::Scope scope{arena};
   System sys{base_cfg(2)};
-  sys.set_transport_fast_paths(fast_paths);
   const GroupId g = sys.create_group(2);
   std::vector<Action> recv_prog, send_prog;
   for (int round = 0; round < rounds; ++round) {
@@ -125,11 +125,13 @@ Rate measure_unexpected_flood(int tags, int rounds, bool fast_paths) {
 /// Nonblocking rendezvous ring: every rank isends `burst` rendezvous-sized
 /// messages to its successor and irecvs as many from its predecessor, then
 /// waits on everything — keeping burst*p completion acks in flight.
-Rate measure_ack_storm(int ranks, int burst, int rounds, bool fast_paths) {
+/// `eager_acks` arms the inert NoFaults model (one event per ack).
+Rate measure_ack_storm(int ranks, int burst, int rounds, bool eager_acks) {
   ActionArena arena;
   ActionArena::Scope scope{arena};
   System sys{base_cfg(ranks)};
-  sys.set_transport_fast_paths(fast_paths);
+  NoFaults no_faults;
+  if (eager_acks) sys.set_link_fault_model(&no_faults);
   auto programs = make_rank_programs(ranks);
   std::int64_t messages = 0;
   for (int round = 0; round < rounds; ++round) {
@@ -160,11 +162,10 @@ Rate measure_ack_storm(int ranks, int burst, int rounds, bool fast_paths) {
 /// FIFO), then waits for the receiver's short done message before the
 /// next round — so the in-flight window stays one burst deep and the
 /// measurement tracks per-burst booking cost rather than backlog memory.
-Rate measure_egress_burst(int burst, int rounds, bool fast_paths) {
+Rate measure_egress_burst(int burst, int rounds) {
   ActionArena arena;
   ActionArena::Scope scope{arena};
   System sys{base_cfg(2)};
-  sys.set_transport_fast_paths(fast_paths);
   auto programs = make_rank_programs(2);
   const int done_tag = 1 << 20;
   for (int round = 0; round < rounds; ++round) {
@@ -239,32 +240,29 @@ Rate best_of(int reps, Fn&& measure) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  bool classic = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--classic") == 0) classic = true;
     // --jobs=/--trials=/--csv=: accepted-and-ignored shared driver flags.
   }
   const int scale = quick ? 1 : 4;
   const int reps = quick ? 1 : 3;
-  const bool fast = !classic;
 
   const Rate ping =
-      best_of(reps, [&] { return measure_ping_pong(20'000 * scale, fast); });
+      best_of(reps, [&] { return measure_ping_pong(20'000 * scale); });
   std::printf("ping-pong:        %12.0f msgs/s\n", ping.msgs_per_s);
   const Rate flood = best_of(
-      reps, [&] { return measure_unexpected_flood(1500, 4 * scale, fast); });
+      reps, [&] { return measure_unexpected_flood(1500, 4 * scale); });
   std::printf("unexpected flood: %12.0f msgs/s  (pool capacity %lld for %lld msgs)\n",
               flood.msgs_per_s,
               static_cast<long long>(flood.stats.pool_capacity),
               static_cast<long long>(flood.stats.messages_allocated));
   const Rate storm =
-      best_of(reps, [&] { return measure_ack_storm(8, 48, 2 * scale, fast); });
+      best_of(reps, [&] { return measure_ack_storm(8, 48, 2 * scale, false); });
   std::printf("rendezvous storm: %12.0f msgs/s  (%lld ack routes at exit)\n",
               storm.msgs_per_s,
               static_cast<long long>(storm.stats.ack_routes));
   const Rate burst = best_of(
-      reps, [&] { return measure_egress_burst(64, 300 * scale, fast); });
+      reps, [&] { return measure_egress_burst(64, 300 * scale); });
   std::printf("egress burst:     %12.0f msgs/s  (peak in flight %lld)\n",
               burst.msgs_per_s,
               static_cast<long long>(burst.stats.peak_in_flight));
@@ -272,7 +270,7 @@ int main(int argc, char** argv) {
   // Eager-ack reference point for the storm (same machine, same process),
   // so the artifact carries the lazy-ack delta.
   const Rate storm_classic =
-      best_of(reps, [&] { return measure_ack_storm(8, 48, 2 * scale, false); });
+      best_of(reps, [&] { return measure_ack_storm(8, 48, 2 * scale, true); });
   std::printf("  (eager acks: storm %.0f msgs/s)\n", storm_classic.msgs_per_s);
 
   // Grid-level parallel speedup: independent cells across sweep workers.
@@ -288,7 +286,6 @@ int main(int argc, char** argv) {
 
   smilab::benchtool::BenchJson json{"comm_microbench"};
   json.set("quick", quick);
-  json.set("classic", classic);
   json.set("ping_pong_msgs_per_s", ping.msgs_per_s);
   json.set("unexpected_flood_msgs_per_s", flood.msgs_per_s);
   json.set("ack_storm_msgs_per_s", storm.msgs_per_s);
@@ -309,9 +306,6 @@ int main(int argc, char** argv) {
            static_cast<long long>(flood.stats.pool_live));
   json.set("storm_peak_in_flight",
            static_cast<long long>(storm.stats.peak_in_flight));
-  json.set("ci_floor_unexpected_flood_msgs_per_s", kFloodFloor);
-  json.set("ci_floor_ack_storm_msgs_per_s", kAckStormFloor);
-  json.set("ci_floor_egress_burst_msgs_per_s", kEgressBurstFloor);
   json.write();
   return 0;
 }

@@ -14,15 +14,15 @@
 //     (the retained baseline) — each child reporting its stats hash and
 //     getrusage peak-RSS delta. The parent asserts the hashes are EQUAL
 //     (streaming is a pure memory change) and records the
-//     retained/streaming RSS ratio. CI gates on the ci_floor_*/
-//     ci_ceiling_* keys in BENCH_scale_projection.json: the ratio floor is
-//     the headline — peak residency O(ranks), not O(ranks x actions).
+//     retained/streaming RSS ratio. CI gates BENCH_scale_projection.json
+//     against bench/ci_floors.json: the ratio floor is the headline — peak
+//     residency O(ranks), not O(ranks x actions).
 //
 // Usage: scale_projection [--quick] [--no-table] [--max-ranks=N]
 //
 // The rank sweep runs 16 -> min(4096, N) by default; passing
 // --max-ranks=65536 adds the 16384- and 65536-rank legs plus a 65536-rank
-// streaming RSS cell gated against the committed ceiling. CI perf-smoke
+// streaming RSS cell, gated against the same ceiling as the pair. CI perf-smoke
 // uses the 4096 default so its budget is unchanged; the committed artifact
 // is regenerated locally with the full projection.
 #include <cstdio>
@@ -47,18 +47,6 @@
 using namespace smilab;
 
 namespace {
-
-// CI gate values, recorded in the JSON artifact. Floors/ceilings sit far
-// from local Release numbers so only a real regression (retained residency
-// creeping back into the streaming path, or a throughput collapse) trips
-// them on slow shared runners.
-constexpr double kRssRatioFloor = 10.0;
-constexpr long long kStreamingRssCeilingKb = 131'072;  // 128 MB
-constexpr double kActionsPerSFloor = 300'000.0;
-// Scale-flatness: actions/s at 4096 ranks over actions/s at 16 ranks. A
-// rank-independent per-action cost keeps this near 1.0; the pre-ladder
-// core scored 0.40 (event-queue and matching costs grew with rank count).
-constexpr double kFlatnessRatioFloor = 0.45;
 
 // --- Part 1: the original SMI amplification projection ---------------------
 
@@ -378,8 +366,8 @@ int main(int argc, char** argv) {
   }
 
   // 64k-rank residency cell (still before the parent grows): streamed
-  // only — retained programs at this scale would hold 39M actions. Gated
-  // against the same committed ceiling as the 4096-rank pair, proving the
+  // only — retained programs at this scale would hold 39M actions. CI
+  // gates it against the same ceiling as the 4096-rank pair, proving the
   // O(ranks) bound holds another 16x out.
   RssReport big{};
   const bool run_big = !args.quick && max_ranks >= 65536;
@@ -390,15 +378,11 @@ int main(int argc, char** argv) {
     std::printf("=== 65536-rank streaming residency: %lld actions ===\n\n",
                 static_cast<long long>(giant.total_actions()));
     big = measure_rss(giant, /*streamed=*/true);
-    std::printf("  streaming: peak RSS delta %8lld KB (ceiling %lld KB), "
+    std::printf("  streaming: peak RSS delta %8lld KB, "
                 "peak %9lld actions resident, %6.2f cpu s%s\n\n",
-                big.rss_delta_kb, kStreamingRssCeilingKb,
+                big.rss_delta_kb,
                 static_cast<long long>(big.peak_program_actions), big.cpu_s,
                 big.measured ? "" : "  (rss unmeasured)");
-    if (big.measured && big.rss_delta_kb > kStreamingRssCeilingKb) {
-      std::printf("FAIL: 65536-rank streaming cell exceeds the RSS ceiling\n");
-      return 1;
-    }
   }
 
   // Rank-scaling sweep (streaming): cells/s and actions/s by rank count.
@@ -446,12 +430,12 @@ int main(int argc, char** argv) {
 
   // Scale-flatness: per-action throughput at 4096 ranks relative to 16.
   // The committed headline metric — near 1.0 means the event core's
-  // per-action cost is rank-independent.
+  // per-action cost is rank-independent; the pre-ladder core scored 0.40
+  // (event-queue and matching costs grew with rank count).
   if (rate_by_ranks.count(16) != 0 && rate_by_ranks.count(4096) != 0) {
     const double flatness = rate_by_ranks[4096] / rate_by_ranks[16];
     std::printf("Scale flatness (actions/s @4096 / @16): %.2f\n\n", flatness);
     json.set("flatness_ratio_4096_over_16", flatness);
-    json.set("ci_floor_flatness_ratio", kFlatnessRatioFloor);
   }
   if (rate_by_ranks.count(16) != 0 && rate_by_ranks.count(65536) != 0) {
     json.set("flatness_ratio_65536_over_16",
@@ -477,9 +461,6 @@ int main(int argc, char** argv) {
            static_cast<long long>(streaming.peak_program_actions));
   json.set("pair_retained_peak_program_actions",
            static_cast<long long>(retained.peak_program_actions));
-  json.set("ci_floor_rss_ratio", kRssRatioFloor);
-  json.set("ci_ceiling_streaming_rss_kb", kStreamingRssCeilingKb);
-  json.set("ci_floor_streaming_actions_per_s", kActionsPerSFloor);
   json.set("max_ranks", max_ranks);
   if (run_big && big.measured) {
     json.set("streaming_rss_delta_kb_65536", big.rss_delta_kb);

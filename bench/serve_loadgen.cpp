@@ -7,7 +7,7 @@
 //  * warm  — the same keys again: every response is a cache hit, served
 //            from the content-addressed result cache without touching the
 //            pool. The headline claim is the p99 gap between these two
-//            phases (floor: warm p99 at least 10x below cold p99).
+//            phases (CI floor: warm p99 at least 10x below cold p99).
 //  * mixed — a splitmix64-driven blend of repeats (75%) and fresh keys
 //            (25%) across all clients at once: the daemon's steady state.
 //            Records end-to-end requests/s and the observed hit rate.
@@ -18,8 +18,8 @@
 // OnlineStats (D6).
 //
 // Always writes BENCH_serve.json with the phase latencies, throughput, hit
-// rate, cache counters, and the ci_floor_* values the perf-smoke job gates
-// on.
+// rate and cache counters; the CI floors for them live in
+// bench/ci_floors.json. Exits nonzero if any client saw an error.
 //
 // Usage: serve_loadgen [--quick] [--clients=N] [--workers=N]
 #include <sys/socket.h>
@@ -44,15 +44,6 @@ namespace {
 using namespace smilab;
 using namespace smilab::serve;
 using benchtool::WallTimer;
-
-// CI floors (recorded in the JSON artifact). A warm hit is a cache lookup
-// plus one socket round trip; a cold miss simulates a 3-node ring halo
-// exchange — locally the p99 gap is ~100x, so a 10x floor only trips if
-// the cache stops short-circuiting the simulation. The throughput floor
-// sits far below local Release rates (thousands/s) for slow runners.
-constexpr double kWarmSpeedupP99Floor = 10.0;
-constexpr double kMixedHitRateFloor = 0.60;
-constexpr double kMixedRequestsPerSFloor = 100.0;
 
 /// One blocking client connection to an abstract-namespace socket.
 class Client {
@@ -282,8 +273,7 @@ int main(int argc, char** argv) {
               percentile(mixed.latencies_s, 0.50) * 1e6,
               percentile(mixed.latencies_s, 0.99) * 1e6,
               mean_of(mixed.latencies_s) * 1e6, mixed.latencies_s.size());
-  std::printf("\nwarm p99 speedup: %.1fx (floor %.0fx)\n", warm_speedup_p99,
-              kWarmSpeedupP99Floor);
+  std::printf("\nwarm p99 speedup: %.1fx\n", warm_speedup_p99);
   std::printf("mixed: %.0f req/s, hit rate %.2f, errors %lld\n", mixed_rps,
               mixed_hit_rate,
               static_cast<long long>(cold.errors + warm.errors +
@@ -318,16 +308,9 @@ int main(int argc, char** argv) {
   json.set("cache_hits", static_cast<long long>(stats.cache.hits));
   json.set("cache_misses", static_cast<long long>(stats.cache.misses));
   json.set("cache_bytes", static_cast<long long>(stats.cache.bytes));
-  json.set("ci_floor_warm_speedup_p99", kWarmSpeedupP99Floor);
-  json.set("ci_floor_mixed_hit_rate", kMixedHitRateFloor);
-  json.set("ci_floor_mixed_requests_per_s", kMixedRequestsPerSFloor);
   json.write();
 
-  const bool below_floor = warm_speedup_p99 < kWarmSpeedupP99Floor ||
-                           mixed_hit_rate < kMixedHitRateFloor ||
-                           (cold.errors + warm.errors + mixed.errors) != 0;
-  if (below_floor) {
-    std::fprintf(stderr, "serve_loadgen: below floor or client errors\n");
-  }
-  return below_floor ? 1 : 0;
+  const bool client_errors = (cold.errors + warm.errors + mixed.errors) != 0;
+  if (client_errors) std::fprintf(stderr, "serve_loadgen: client errors\n");
+  return client_errors ? 1 : 0;
 }

@@ -311,38 +311,6 @@ int cmd_rim(const Options& options, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-/// Parse "a:b:c"-style numeric fault specs. Returns false (with *error set)
-/// on malformed input.
-bool parse_fields(const std::string& spec, const char* flag,
-                  std::vector<double>* out, std::size_t expected,
-                  std::string* error) {
-  out->clear();
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t colon = spec.find(':', pos);
-    const std::string field =
-        spec.substr(pos, colon == std::string::npos ? colon : colon - pos);
-    try {
-      std::size_t used = 0;
-      out->push_back(std::stod(field, &used));
-      if (used != field.size()) throw std::invalid_argument(field);
-    } catch (const std::exception&) {
-      *error = std::string("--") + flag + ": bad number '" + field + "' in '" +
-               spec + "'";
-      return false;
-    }
-    if (colon == std::string::npos) break;
-    pos = colon + 1;
-  }
-  if (out->size() != expected) {
-    *error = std::string("--") + flag + ": expected " +
-             std::to_string(expected) + " ':'-separated fields, got " +
-             std::to_string(out->size()) + " in '" + spec + "'";
-    return false;
-  }
-  return true;
-}
-
 /// Parse a comma-separated list of "a:b:c" specs, calling `add` per spec.
 /// The Options map is last-wins for repeated flags, so the list form is the
 /// only way to express several faults of one kind in a single command.
@@ -355,7 +323,7 @@ bool parse_spec_list(const std::string& list, const char* flag,
     const std::size_t comma = list.find(',', pos);
     const std::string spec =
         list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!parse_fields(spec, flag, &f, expected, error)) return false;
+    if (!parse_spec_fields(spec, flag, &f, expected, error)) return false;
     add(f);
     if (comma == std::string::npos) break;
     pos = comma + 1;

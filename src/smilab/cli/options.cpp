@@ -1,6 +1,8 @@
 #include "smilab/cli/options.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace smilab {
 
@@ -63,12 +65,45 @@ double Options::get_double(const std::string& key, double fallback,
   if (it == values_.end()) return fallback;
   char* end = nullptr;
   const double value = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
-    if (error) *error = "flag --" + key + " expects a number, got '" +
+  if (end == it->second.c_str() || *end != '\0' || !std::isfinite(value)) {
+    if (error) *error = "flag --" + key + " expects a finite number, got '" +
                         it->second + "'";
     return fallback;
   }
   return value;
+}
+
+bool parse_spec_fields(const std::string& spec, const char* flag,
+                       std::vector<double>* out, std::size_t expected,
+                       std::string* error) {
+  out->clear();
+  std::size_t pos = 0;
+  while (pos <= spec.size()) {
+    const std::size_t colon = spec.find(':', pos);
+    const std::string field =
+        spec.substr(pos, colon == std::string::npos ? colon : colon - pos);
+    try {
+      std::size_t used = 0;
+      const double value = std::stod(field, &used);
+      if (used != field.size() || !std::isfinite(value)) {
+        throw std::invalid_argument(field);
+      }
+      out->push_back(value);
+    } catch (const std::exception&) {
+      *error = std::string("--") + flag + ": bad number '" + field + "' in '" +
+               spec + "'";
+      return false;
+    }
+    if (colon == std::string::npos) break;
+    pos = colon + 1;
+  }
+  if (out->size() != expected) {
+    *error = std::string("--") + flag + ": expected " +
+             std::to_string(expected) + " ':'-separated fields, got " +
+             std::to_string(out->size()) + " in '" + spec + "'";
+    return false;
+  }
+  return true;
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {

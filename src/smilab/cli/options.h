@@ -27,6 +27,7 @@ class Options {
                                 const std::string& fallback) const;
   [[nodiscard]] long long get_int(const std::string& key, long long fallback,
                                   std::string* error) const;
+  /// NaN and infinity are errors, like unparsable text.
   [[nodiscard]] double get_double(const std::string& key, double fallback,
                                   std::string* error) const;
   /// A bare `--flag` or `--flag=true/false`.
@@ -40,5 +41,12 @@ class Options {
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> consumed_;
 };
+
+/// Parse one "a:b:c"-style numeric fault spec of exactly `expected` finite
+/// fields. Returns false (with *error naming `flag`) on malformed input,
+/// NaN or infinity.
+bool parse_spec_fields(const std::string& spec, const char* flag,
+                       std::vector<double>* out, std::size_t expected,
+                       std::string* error);
 
 }  // namespace smilab

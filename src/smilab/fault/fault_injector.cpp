@@ -66,14 +66,15 @@ FaultInjector::FaultInjector(System& sys, FaultPlan plan)
   for (const SlowNode& s : plan_.slow_nodes) {
     check_node(s.node, nodes, "slow");
     check_interval(s.at, s.duration, "slow");
-    if (s.rate_scale <= 0.0 || s.rate_scale > 1.0) {
+    if (!(s.rate_scale > 0.0 && s.rate_scale <= 1.0)) {  // NaN fails too
       config_error("slow-node rate_scale must be in (0, 1], got " +
                    std::to_string(s.rate_scale));
     }
   }
   const auto& noise = plan_.link_noise;
-  if (noise.drop_prob < 0.0 || noise.drop_prob > 1.0 ||
-      noise.dup_prob < 0.0 || noise.dup_prob > 1.0) {
+  // Written so that NaN fails the range test.
+  if (!(noise.drop_prob >= 0.0 && noise.drop_prob <= 1.0) ||
+      !(noise.dup_prob >= 0.0 && noise.dup_prob <= 1.0)) {
     config_error("link noise probabilities must be in [0, 1]");
   }
   if (plan_.jitter.window < SimDuration::zero()) {

@@ -136,7 +136,10 @@ std::optional<ExperimentRequest> ExperimentRequest::parse(
     *error = "unknown smi kind '" + *smi + "' (none|short|long)";
     return std::nullopt;
   }
-  const auto gap = fields.take_int("gap_ms", 1000, 1, 3'600'000, error);
+  // With SMIs off the gap is dead configuration, and canonical_json()
+  // renders it as 0; accepting 0 there lets the echo parse back.
+  const auto gap = fields.take_int(
+      "gap_ms", 1000, req.smi == SmiKind::kNone ? 0 : 1, 3'600'000, error);
   if (!gap) return std::nullopt;
   req.gap_ms = *gap;
 
@@ -273,7 +276,10 @@ std::string ExperimentRequest::canonical_json() const {
       w.field("bytes", ring_bytes);
       break;
     case ExperimentKind::kNas:
-      w.field("workload", smilab::to_string(nas.bench));
+      // The request schema's spelling (lowercase), so the echo parses back.
+      w.field("workload", nas.bench == NasBenchmark::kEP   ? "ep"
+                          : nas.bench == NasBenchmark::kBT ? "bt"
+                                                           : "ft");
       w.field("class", smilab::to_string(nas.cls));
       w.field("nodes", nas.nodes);
       w.field("ranks_per_node", nas.ranks_per_node);

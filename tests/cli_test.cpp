@@ -141,6 +141,35 @@ TEST(CliTest, NasRejectsRetainedFlag) {
   EXPECT_EQ(usage.find("--retained"), std::string::npos);
 }
 
+// NaN and infinity are usage errors (exit 2) wherever a number is parsed:
+// plain flags and every field of a fault spec. NaN would otherwise slip
+// past the fault plan's range checks, and a non-finite timeout would reach
+// an undefined float-to-int cast.
+TEST(CliTest, FaultsRejectsNonFiniteNumbers) {
+  for (const char* flag :
+       {"--drop=nan", "--dup=-nan", "--drop=inf", "--hang-timeout-s=nan",
+        "--hang-timeout-s=-inf", "--slow=0:0:10:nan", "--slow=0:0:10:inf",
+        "--freeze=0:nan:100", "--crash=0:inf", "--link-down=0:0:nan"}) {
+    std::string out, err;
+    EXPECT_EQ(run({"faults", "--nodes=2", "--iters=5", flag}, &out, &err), 2)
+        << flag;
+    EXPECT_NE(err.find("number"), std::string::npos) << flag << err;
+  }
+  std::string out, err;
+  EXPECT_EQ(run({"faults", "--nodes=2", "--iters=5", "--drop=2"}, &out, &err), 3);
+}
+
+TEST(OptionsTest, SpecFieldsRejectNonFinite) {
+  std::vector<double> fields;
+  std::string error;
+  EXPECT_TRUE(parse_spec_fields("0:1.5:2e3", "slow", &fields, 3, &error));
+  EXPECT_EQ(fields, (std::vector<double>{0.0, 1.5, 2000.0}));
+  for (const char* spec : {"0:nan:1", "0:1:inf", "-inf:1:1", "0:1:1e999"}) {
+    EXPECT_FALSE(parse_spec_fields(spec, "slow", &fields, 3, &error)) << spec;
+    EXPECT_NE(error.find("--slow: bad number"), std::string::npos) << error;
+  }
+}
+
 TEST(CliTest, ConvolveCommandRuns) {
   std::string out;
   const int rc =

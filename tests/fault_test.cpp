@@ -3,6 +3,7 @@
 // transport's retransmission state machine.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -317,6 +318,28 @@ TEST(FaultInjectorTest, RejectsInvalidPlans) {
   {
     FaultPlan plan;
     plan.slow(0, SimTime::zero(), seconds(1), 0.0);
+    EXPECT_THROW(FaultInjector(sys, plan), SimulationError);
+  }
+}
+
+// NaN compares false against every bound, so a range check written as
+// "reject if below or above" lets it through; these must all throw.
+TEST(FaultInjectorTest, RejectsNaNProbabilitiesAndScales) {
+  System sys{base_config(2)};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  {
+    FaultPlan plan;
+    plan.drop(nan);
+    EXPECT_THROW(FaultInjector(sys, plan), SimulationError);
+  }
+  {
+    FaultPlan plan;
+    plan.duplicate(nan);
+    EXPECT_THROW(FaultInjector(sys, plan), SimulationError);
+  }
+  {
+    FaultPlan plan;
+    plan.slow(0, SimTime::zero(), seconds(1), nan);
     EXPECT_THROW(FaultInjector(sys, plan), SimulationError);
   }
 }

@@ -9,11 +9,28 @@
 //
 // Communication patterns are generated deadlock-free by construction
 // (pairwise matched sends/recvs ordered by a global sequence).
+//
+// The second half fuzzes the external inputs with seeded byte mutations of
+// valid seed strings (bit flips, byte and token inserts, deletions, span
+// duplication): the serve wire format (parse_json, parse_request_line and
+// the canonical key of every accepted request) and the CLI (Options flag
+// parsing, the fault-spec field parser and the FaultInjector's plan
+// checks). Each accepted input must satisfy the parser's own contract, so
+// the suite catches silent acceptance (a NaN probability) as well as
+// crashes; the sanitizer job runs it under ASan and UBSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "smilab/cli/options.h"
+#include "smilab/fault/fault_injector.h"
+#include "smilab/fault/fault_plan.h"
+#include "smilab/serve/request.h"
+#include "smilab/serve/wire.h"
 #include "smilab/sim/system.h"
 #include "smilab/time/rng.h"
 
@@ -158,6 +175,180 @@ TEST_P(FuzzSweep, InvariantsHoldAndRunIsDeterministic) {
   EXPECT_EQ(a.total_stolen_ns, b.total_stolen_ns);
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_GT(a.finish_ns, 0);
+}
+
+// --- External-input mutation fuzzing -------------------------------------------
+
+/// Apply 1-4 random byte-level mutations to `s`. `tokens` are spliced in
+/// whole, so the mutants reach past the tokenizer into the schema and
+/// range checks.
+std::string mutate(std::string s, Rng& rng,
+                   const std::vector<std::string_view>& tokens) {
+  const int edits = static_cast<int>(rng.uniform_int(1, 4));
+  for (int e = 0; e < edits; ++e) {
+    const auto pos = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(s.size())));
+    switch (rng.uniform_int(0, 5)) {
+      case 0:  // flip one bit
+        if (pos < s.size()) {
+          s[pos] = static_cast<char>(s[pos] ^ (1 << rng.uniform_int(0, 7)));
+        }
+        break;
+      case 1:  // overwrite with an arbitrary byte
+        if (pos < s.size()) s[pos] = static_cast<char>(rng.uniform_int(0, 255));
+        break;
+      case 2:  // insert an arbitrary byte
+        s.insert(pos, 1, static_cast<char>(rng.uniform_int(0, 255)));
+        break;
+      case 3:  // delete a short span
+        s.erase(pos, static_cast<std::size_t>(rng.uniform_int(1, 4)));
+        break;
+      case 4: {  // insert a dictionary token
+        const auto t = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(tokens.size()) - 1));
+        s.insert(pos, tokens[t]);
+        break;
+      }
+      default: {  // duplicate a span in place
+        const auto len = std::min<std::size_t>(
+            s.size() - pos, static_cast<std::size_t>(rng.uniform_int(1, 8)));
+        s.insert(pos, s.substr(pos, len));
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+constexpr int kMutantsPerSeed = 400;
+
+TEST(InputFuzz, ServeRequestLinesKeepTheirContract) {
+  const std::vector<std::string_view> seeds = {
+      R"({"experiment":"ring","nodes":3,"iters":20,"bytes":1024,"seed":7})",
+      R"({"experiment":"ring","smi":"none","gap_ms":50})",
+      R"({"experiment":"nas","workload":"ft","class":"A","nodes":4,"smi":"long"})",
+      R"({"experiment":"convolve","case":"cf","cpus":4,"smi":"short"})",
+      R"({"experiment":"unixbench","cpus":2,"gap_ms":600})",
+      R"({"op":"stats"})",
+      R"({"op":"ping"})",
+      R"({"a":[1,-2.5e3,true,false,null,"x\u00e9\n"],"b":{"c":{}}})",
+  };
+  const std::vector<std::string_view> tokens = {
+      "\"", "\\", "\\u", "{", "}", "[", "]", ":", ",", "null", "true",
+      "1e999", "-0", "NaN", "\"seed\":", "\"nodes\":", "\"smi\":\"none\"",
+      "\"experiment\":\"nas\"", "\"op\":", "9223372036854775808", " "};
+  int accepted = 0;
+  for (std::size_t si = 0; si < seeds.size(); ++si) {
+    Rng rng{0x5e57e000 + si};
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      const std::string line = mutate(std::string(seeds[si]), rng, tokens);
+      std::string error;
+      const auto doc = serve::parse_json(line, &error);
+      if (!doc) {
+        EXPECT_FALSE(error.empty()) << line;
+      }
+      error.clear();
+      const auto req = serve::parse_request_line(line, &error);
+      if (!req) {
+        EXPECT_FALSE(error.empty()) << line;
+        continue;
+      }
+      EXPECT_TRUE(doc.has_value()) << line;
+      if (req->op != serve::RequestLine::Op::kExperiment) continue;
+      ++accepted;
+      // The key is a pure function of the parsed request, and the
+      // canonical rendering parses back to the same key.
+      const serve::ExperimentRequest& exp = req->experiment;
+      const std::uint64_t key = exp.canonical_key();
+      EXPECT_EQ(key, exp.canonical_key()) << line;
+      const std::string canonical = exp.canonical_json();
+      const auto again = serve::parse_request_line(canonical, &error);
+      ASSERT_TRUE(again.has_value()) << line << " -> " << canonical << ": "
+                                     << error;
+      EXPECT_EQ(again->experiment.canonical_key(), key) << line;
+      EXPECT_EQ(again->experiment.canonical_json(), canonical) << line;
+    }
+  }
+  EXPECT_GT(accepted, 0);  // the mutants must reach the schema layer
+}
+
+TEST(InputFuzz, CliFlagsAndFaultSpecsKeepTheirContract) {
+  const std::vector<std::string_view> seeds = {
+      "--drop=0.05", "--dup=0.02", "--hang-timeout-s=10", "--nodes=4",
+      "--slow=0:0:10:0.5", "--freeze=0:100:200,1:400:100", "--crash=2:50",
+      "--link-down=1:20:30"};
+  const std::vector<std::string_view> tokens = {
+      "nan", "inf", "-", "+", "e", "1e999", "0x1p3", ":", ",", "=", "--",
+      ".", "0", "1", "  "};
+  System sys{SystemConfig{}};  // fault plans are validated, never run
+  int fault_plans = 0;
+  for (std::size_t si = 0; si < seeds.size(); ++si) {
+    Rng rng{0xc1f1a6 + si};
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      const std::string arg = mutate(std::string(seeds[si]), rng, tokens);
+      const char* argv[] = {"smilab", "faults", arg.c_str()};
+      std::string error;
+      const auto options = Options::parse(3, argv, &error);
+      if (!options) {
+        EXPECT_FALSE(error.empty()) << arg;
+        continue;
+      }
+      for (const char* key : {"drop", "dup", "hang-timeout-s", "nodes"}) {
+        std::string value_error;
+        const double d = options->get_double(key, 0.0, &value_error);
+        EXPECT_TRUE(std::isfinite(d)) << arg;
+        (void)options->get_int(key, 0, &value_error);
+        (void)options->get_bool(key, false);
+      }
+      // A probability either fails the flag parser or meets the injector's
+      // range check; a value that passes both must lie in [0, 1].
+      std::string prob_error;
+      const double drop = options->get_double("drop", 0.0, &prob_error);
+      const double dup = options->get_double("dup", 0.0, &prob_error);
+      if (prob_error.empty()) {
+        FaultPlan plan;
+        plan.drop(drop).duplicate(dup);
+        ++fault_plans;
+        try {
+          const FaultInjector injector{sys, plan};
+          EXPECT_TRUE(drop >= 0.0 && drop <= 1.0 && dup >= 0.0 && dup <= 1.0)
+              << arg;
+        } catch (const SimulationError&) {
+          EXPECT_FALSE(drop >= 0.0 && drop <= 1.0 && dup >= 0.0 && dup <= 1.0)
+              << arg;
+        }
+      }
+      // Fault specs: every accepted field is finite and the count matches;
+      // a slow-node scale that passes the parser meets the injector's
+      // (0, 1] check or is rejected by it.
+      for (const char* key : {"slow", "freeze", "crash", "link-down"}) {
+        const std::string spec = options->get(key, "");
+        if (spec.empty()) continue;
+        const std::size_t expected =
+            std::string_view{key} == "slow" ? 4 : key[0] == 'c' ? 2 : 3;
+        std::vector<double> fields;
+        std::string spec_error;
+        if (!parse_spec_fields(spec, key, &fields, expected, &spec_error)) {
+          EXPECT_FALSE(spec_error.empty()) << arg;
+          continue;
+        }
+        ASSERT_EQ(fields.size(), expected) << arg;
+        for (const double f : fields) EXPECT_TRUE(std::isfinite(f)) << arg;
+        if (std::string_view{key} != "slow") continue;
+        const double scale = fields[3];
+        FaultPlan plan;
+        plan.slow(0, SimTime::zero(), seconds(1), scale);
+        ++fault_plans;
+        try {
+          const FaultInjector injector{sys, plan};
+          EXPECT_TRUE(scale > 0.0 && scale <= 1.0) << arg;
+        } catch (const SimulationError&) {
+          EXPECT_FALSE(scale > 0.0 && scale <= 1.0) << arg;
+        }
+      }
+    }
+  }
+  EXPECT_GT(fault_plans, 0);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Lazy-ack equality suite: rendezvous acks matured lazily on the sender's
 // next poll versus delivered by a dedicated event per ack. Every equality
-// test here runs the same scenario twice, once with
-// System::set_transport_fast_paths on (the default: lazy acks) and once off
-// (eager ack events), and asserts the full observable trace hashes are
-// EQUAL. The eager chain is itself covered by the pinned goldens in
-// transport_test.cpp, so equality against it extends those pins to lazy
-// acks on these scenarios.
+// test here runs the same scenario twice, once as configured (lazy acks
+// when no link fault model is armed) and once with a NoFaults model armed
+// — a LinkFaultModel that never drops or duplicates, whose only effect is
+// to select the eager per-ack event — and asserts the full observable
+// trace hashes are EQUAL. The eager chain is itself covered by the pinned
+// goldens in transport_test.cpp, so equality against it extends those pins
+// to lazy acks on these scenarios.
 //
 // Equality here does NOT make lazy acks bit-exact in general: FT with 4
 // ranks per node ends slightly earlier with them (DESIGN.md §11), and
@@ -33,6 +34,14 @@
 
 namespace smilab {
 namespace {
+
+/// Armed but inert: never drops, never duplicates. Arming any model makes
+/// the transport deliver every rendezvous ack by a dedicated event.
+class NoFaults final : public LinkFaultModel {
+ public:
+  bool should_drop(int, int) override { return false; }
+  bool should_duplicate(int, int) override { return false; }
+};
 
 class TraceHash {
  public:
@@ -87,7 +96,7 @@ SystemConfig wyeast_cfg(int nodes, std::uint64_t seed) {
 // isends and irecvs outstanding at once, so rendezvous acks pile up and
 // the waitall progress counters, lazy maturation and (with SMIs) NIC
 // pauses all engage.
-std::uint64_t ack_ring_hash(bool fast_paths, bool long_smi, int ranks_per_node,
+std::uint64_t ack_ring_hash(bool lazy_acks, bool long_smi, int ranks_per_node,
                             std::uint64_t seed) {
   const int ranks = 6;
   SystemConfig cfg =
@@ -95,7 +104,8 @@ std::uint64_t ack_ring_hash(bool fast_paths, bool long_smi, int ranks_per_node,
   cfg.smi = long_smi ? SmiConfig::long_every_second()
                      : SmiConfig::short_every_second();
   System sys{cfg};
-  sys.set_transport_fast_paths(fast_paths);
+  NoFaults no_faults;
+  if (!lazy_acks) sys.set_link_fault_model(&no_faults);
   auto programs = make_rank_programs(ranks);
   constexpr int kBurst = 24;
   for (int round = 0; round < 4; ++round) {
@@ -149,11 +159,12 @@ TEST(TransportFastPathTest, SameNodeRendezvousMatchesClassic) {
 // make the piggyback ack route disable itself (retransmission timing is
 // observable), and a killed sender's queued lazy acks must keep the same
 // watchdog progress sequence the eager ack events produced.
-std::uint64_t faulted_hash(bool fast_paths, std::uint64_t seed) {
+std::uint64_t faulted_hash(bool lazy_acks, std::uint64_t seed) {
   SystemConfig cfg = wyeast_cfg(6, seed);
   cfg.smi = SmiConfig::long_every_second();
   System sys{cfg};
-  sys.set_transport_fast_paths(fast_paths);
+  NoFaults no_faults;
+  if (!lazy_acks) sys.set_link_fault_model(&no_faults);
   FaultPlan plan;
   plan.drop(0.05).duplicate(0.05).crash(5, SimTime{2'500'000'000});
   FaultInjector injector{sys, plan};
